@@ -111,7 +111,12 @@ def _validate_design(X: np.ndarray, Y: np.ndarray, p: int) -> int:
     n = X.shape[0]
     if Y.shape != (n,):
         raise ValueError(f"Y must have shape ({n},), got {Y.shape}")
-    norms = np.linalg.norm(X, axis=0)
+    if not np.all(np.isfinite(Y)):
+        raise ValueError("Y must be finite")
+    norms = np.sqrt(np.einsum("ij,ij->j", X, X))
+    # a non-finite entry makes its column norm non-finite
+    if not np.all(np.isfinite(norms)):
+        raise ValueError("X must be finite; a column norm is not finite")
     if not np.allclose(norms, math.sqrt(n), rtol=1e-8, atol=0.0):
         worst = float(np.max(np.abs(norms - math.sqrt(n))))
         raise ValueError(
@@ -128,6 +133,8 @@ def _iterate(X, Y, budget, schedule, beta0, truth, operator, bound_constant):
     beta0 = np.asarray(beta0, dtype=float)
     if beta0.shape != (p,):
         raise ValueError(f"beta0 must have shape ({p},)")
+    if not np.all(np.isfinite(beta0)):
+        raise ValueError("beta0 must be finite")
 
     truth_supp = None
     if truth is not None:
@@ -174,13 +181,17 @@ def _iterate(X, Y, budget, schedule, beta0, truth, operator, bound_constant):
         return beta0.copy(), trace
 
     sqrt_kappa = math.sqrt(schedule.kappa)
+    fit = X @ beta  # the caller's beta0 may be dense
     while lam >= schedule.lambda_inf:
-        grad_step = beta + X.T @ (Y - X @ beta) / n
+        grad_step = beta + X.T @ (Y - fit) / n
         if not np.all(np.isfinite(grad_step)):
             raise FloatingPointError("non-finite values in the solver iterate")
         U = vec_to_matrix(grad_step, budget.m, budget.d)
         outcome = operator(U, lam, budget)
         beta = matrix_to_vec(outcome.result)
+        # a threshold output is sparse: multiply over its support only
+        nz = np.flatnonzero(beta)
+        fit = X[:, nz] @ beta[nz]
         lam = lam * sqrt_kappa
         record(beta, lam)
 

@@ -109,7 +109,7 @@ def gen_signal(spec: SignalSpec, seed) -> GroupedMatrix:
                     raise ValueError("degenerate zero column in soft-mode generation")
                 theta[:, j] = raw * (budget.rq / mass) ** (1.0 / budget.q)
         out = GroupedMatrix(theta)
-        assert budget.admits(out)
+        _check_admissible(budget, out)
         return out
 
     if budget.mode == "hard":
@@ -135,8 +135,14 @@ def gen_signal(spec: SignalSpec, seed) -> GroupedMatrix:
             theta[rows, j] = mags * _signs(rng, cnt, spec.sign)
 
     out = GroupedMatrix(theta)
-    assert budget.admits(out)
+    _check_admissible(budget, out)
     return out
+
+
+def _check_admissible(budget, out):
+    # an explicit raise, unlike assert, survives python -O
+    if not budget.admits(out):
+        raise RuntimeError(f"generated signal lies outside its {budget.mode}-mode budget")
 
 
 def _draw_magnitudes(magnitude, rng, size):
@@ -171,7 +177,7 @@ def gen_design(n: int, p: int, kind: str, seed) -> np.ndarray:
         return X
     if kind == "gaussian_iid":
         X = rng.normal(0.0, 1.0, size=(n, p))
-        X *= math.sqrt(n) / np.linalg.norm(X, axis=0, keepdims=True)
+        X *= math.sqrt(n) / np.sqrt(np.einsum("ij,ij->j", X, X))
         return X
     raise ValueError(f"unknown design kind {kind!r}")
 

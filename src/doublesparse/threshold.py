@@ -60,6 +60,10 @@ def step2_matrix(U: GroupedMatrix, lam: float, s: int, s0: int) -> ThresholdOutc
     over all m columns, reach s*lam^2 (0 if none). An entry (i, j) stays
     active when its magnitude rank within column j, counted as
     #{k : |U_kj| >= |U_ij|} with ties included, is at most i_max.
+
+    The rank is never formed: with desc_j the magnitudes of column j in
+    non-increasing order, the rank condition holds exactly when
+    |U_ij| > desc_j[i_max] (0-based), and for every entry when i_max = d.
     """
     if lam <= 0:
         raise ValueError("lam must be positive")
@@ -81,9 +85,9 @@ def step2_matrix(U: GroupedMatrix, lam: float, s: int, s0: int) -> ThresholdOutc
     qualifying = np.nonzero(row_scores >= s * lam * lam)[0]
     i_max = int(qualifying[-1]) + 1 if qualifying.size else 0
 
-    # rank[i, j] = #{k : |U_kj| >= |U_ij|}, ties counted
-    rank = np.sum(A[:, None, :] >= A[None, :, :], axis=0)
-    active = (rank <= i_max) & selected[None, :]
+    # #{k : |U_kj| >= |U_ij|} <= i_max  <=>  |U_ij| > order[i_max, j]
+    cut = order[i_max] if i_max < d else -np.inf
+    active = (A > cut) & selected[None, :]
 
     result = GroupedMatrix(np.where(active, V, 0.0))
     rows, cols = np.nonzero(active)

@@ -9,8 +9,9 @@ from doublesparse.core import (
     SparsityBudget,
     matrix_to_vec,
     stream,
+    vec_to_matrix,
 )
-from doublesparse import estimators, simulate
+from doublesparse import estimators, simulate, threshold
 from doublesparse.estimators import ThresholdSchedule
 
 
@@ -115,6 +116,46 @@ def test_unnormalized_design_rejected():
     X = 2.0 * np.ones((8, 16))
     with pytest.raises(ValueError):
         estimators.dsiht(X, np.zeros(8), budget, ThresholdSchedule(1.0, 0.5, 0.5))
+
+
+@pytest.mark.parametrize("name", ["X", "Y", "beta0"])
+def test_non_finite_input_rejected(name):
+    rng = stream(15)
+    budget = SparsityBudget.hard(4, 4, 1, 1)
+    X = simulate.gen_design(12, 16, "gaussian_iid", rng)
+    args = {"X": X, "Y": rng.normal(size=12), "beta0": np.zeros(16)}
+    args[name] = args[name].copy()
+    args[name][3] = np.nan
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        estimators.dsiht(
+            args["X"], args["Y"], budget, ThresholdSchedule(1.0, 0.5, 0.5),
+            beta0=args["beta0"],
+        )
+
+
+def test_dense_start_matches_full_product_loop():
+    rng = stream(16)
+    budget = SparsityBudget.hard(8, 6, 2, 2)
+    spec = simulate.SignalSpec(budget, simulate.Constant(2.0), sign="random")
+    beta_star = matrix_to_vec(simulate.gen_signal(spec, rng))
+    X = simulate.gen_design(400, 48, "gaussian_iid", rng)
+    Y = simulate.gen_regression(X, beta_star, NoiseModel(0.5, 400), rng)
+    beta0 = rng.normal(size=48)
+    schedule = ThresholdSchedule(1.0, 0.7, 0.2)
+    beta_hat, trace = estimators.dsiht(X, Y, budget, schedule, beta0=beta0)
+
+    # the textbook loop: every gradient step uses the dense product X @ beta
+    lam, beta, betas = schedule.lambda0, beta0, [beta0]
+    while lam >= schedule.lambda_inf:
+        U = vec_to_matrix(beta + X.T @ (Y - X @ beta) / 400, budget.m, budget.d)
+        beta = matrix_to_vec(threshold.apply(U, lam, budget).result)
+        lam = lam * math.sqrt(schedule.kappa)
+        betas.append(beta)
+
+    assert trace.iterations == len(betas) - 1 > 1
+    # the first step, taken from the dense start, already keeps entries
+    assert np.count_nonzero(betas[1]) > 0
+    assert np.allclose(beta_hat, betas[-2], rtol=1e-12, atol=0.0)
 
 
 def test_mode_mismatch_rejected():

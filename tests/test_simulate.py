@@ -1,4 +1,7 @@
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -139,3 +142,19 @@ def test_matrix_csv_header_mismatch(tmp_path):
     path.write_text("# rows=2 cols=2\n1.0,2.0\n")
     with pytest.raises(ValueError):
         load_matrix_csv(path)
+
+
+def test_inadmissible_signal_raises_under_optimize():
+    # python -O strips assert statements; the admissibility check must not be one
+    src = str(Path(simulate.__file__).resolve().parents[1])
+    code = (
+        "import sys; sys.path.insert(0, %r)\n"
+        "from doublesparse import simulate\n"
+        "from doublesparse.core import SparsityBudget, stream\n"
+        "SparsityBudget.admits = lambda self, theta: False\n"
+        "budget = SparsityBudget.hard(10, 8, 3, 2)\n"
+        "simulate.gen_signal(simulate.SignalSpec(budget, simulate.Constant(1.0)), stream(0))\n"
+    ) % src
+    proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True)
+    assert proc.returncode != 0
+    assert "outside its hard-mode budget" in proc.stderr

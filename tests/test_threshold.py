@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from doublesparse.core import GroupedMatrix, SparsityBudget, stream
 from doublesparse import threshold
@@ -63,6 +64,38 @@ def test_oracle_matches_fast_path_ties():
         fast = threshold.apply(U, lam, hard(8, 6, 2, 2)).result.values
         slow = threshold.literal_oracle(U, lam, 2, 2).values
         assert np.array_equal(fast, slow)
+
+
+@st.composite
+def tie_grids(draw):
+    """A quantized d x m grid (many equal magnitudes), a threshold on the same
+    lattice, and any budget (s, s0) the grid admits."""
+    d = draw(st.integers(1, 8))
+    m = draw(st.integers(1, 6))
+    cells = draw(st.lists(st.integers(-3, 3), min_size=d * m, max_size=d * m))
+    U = GroupedMatrix(np.array(cells, dtype=float).reshape(d, m) * 0.5)
+    lam = draw(st.sampled_from([0.25, 0.5, 1.0, 1.5]))
+    return U, lam, draw(st.integers(1, m)), draw(st.integers(1, d))
+
+
+def test_oracle_matches_fast_path_on_tie_grids():
+    edges = set()
+
+    @settings(max_examples=500, deadline=None, derandomize=True, database=None)
+    @given(tie_grids())
+    def check(case):
+        U, lam, s, s0 = case
+        out = threshold.apply(U, lam, hard(U.cols, U.rows, s, s0))
+        slow = threshold.literal_oracle(U, lam, s, s0).values
+        assert np.array_equal(out.result.values, slow)
+        if out.row_cut == 0:
+            edges.add("none")
+        elif out.row_cut == U.rows:
+            edges.add("full")
+
+    check()
+    # both edges of the order-statistic comparison were exercised
+    assert edges == {"none", "full"}
 
 
 def test_heterogeneous_matches_oracle():
