@@ -279,14 +279,14 @@ def build_khatri_rao_packing(
     if not all(checks.values()):
         raise RuntimeError(f"greedy stage missed its counting bound: {checks}")
 
-    gamma_positions = [np.nonzero(g)[0] for g in gamma]
+    # words[c][:, t] is the within-column word code c assigns to its t-th
+    # column; one (n_codes, d, m) block per column pattern bounds the memory
+    words = magnitude * b_words[codes].transpose(0, 2, 1)
     elements = []
-    for pos in gamma_positions:
-        for word in codes:
-            theta = np.zeros((d, m))
-            for t, col in enumerate(pos):
-                theta[:, col] = magnitude * b_words[word[t]]
-            elements.append(GroupedMatrix(theta))
+    for g in gamma:
+        block = np.zeros((codes.shape[0], d, m))
+        block[:, :, np.nonzero(g)[0]] = words
+        elements.extend(GroupedMatrix(theta) for theta in block)
 
     # q x q distance table between within-column words (all weight s0)
     db = 2 * (s0 - b_words @ b_words.T).astype(np.int64)

@@ -7,7 +7,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass
-from itertools import combinations, product
+from itertools import combinations
 
 import numpy as np
 
@@ -28,6 +28,8 @@ __all__ = [
 NOISE_EVENT_CONSTANT = 10.0
 
 _EXHAUSTIVE_GUARD = 10**5
+# bytes of gathered rows and Gram matrices per eigvalsh batch
+_CHUNK_BYTES = 1 << 22
 _DEGENERATE_TOL = 1e-12
 
 
@@ -52,43 +54,45 @@ class DsripReport:
         return json.dumps(asdict(self))
 
 
-def _support_column_indices(cols, rows_choice, d):
-    # p-index of entry (i, j) is d*j + i
-    return [d * j + i for j, rows in zip(cols, rows_choice) for i in rows]
-
-
-def _iter_supports(m, d, s, s0):
-    for cols in combinations(range(m), s):
-        for rows_choice in product(combinations(range(d), s0), repeat=s):
-            yield cols, rows_choice
+def _support_indices(m, d, s, s0) -> np.ndarray:
+    """Every support with s occupied columns of s0 entries each, one per row
+    of a (count, s*s0) index array, in ``combinations(cols) x product(row
+    subsets)`` order. Entry (i, j) is X-column d*j + i."""
+    col_sets = np.array(list(combinations(range(m), s)), dtype=np.intp)
+    row_sets = np.array(list(combinations(range(d), s0)), dtype=np.intp)
+    # one row subset per occupied column, last column varying fastest
+    choice = np.indices((row_sets.shape[0],) * s).reshape(s, -1).T
+    idx = d * col_sets[:, None, :, None] + row_sets[choice][None, :, :, :]
+    return idx.reshape(-1, s * s0)
 
 
 def _support_count(m, d, s, s0) -> int:
     return math.comb(m, s) * math.comb(d, s0) ** s
 
 
-def _sample_support(rng, m, d, s, s0):
-    cols = tuple(sorted(rng.choice(m, size=s, replace=False).tolist()))
-    rows_choice = tuple(
-        tuple(sorted(rng.choice(d, size=s0, replace=False).tolist())) for _ in cols
-    )
-    return cols, rows_choice
+def _sample_support(rng, m, d, s, s0) -> np.ndarray:
+    cols = np.sort(rng.choice(m, size=s, replace=False))
+    rows = [np.sort(rng.choice(d, size=s0, replace=False)) for _ in cols]
+    return (d * cols[:, None] + np.array(rows)).ravel()
 
 
-def _extreme_eigs(X, supports, d):
+def _extreme_eigs(X, idx):
+    """(u_s, l_s, degenerate) over the supports in the rows of ``idx``:
+    one stacked eigvalsh per chunk of Gram submatrices."""
+    XT = np.ascontiguousarray(X.T)
+    k = idx.shape[1]
+    # a support's gathered k x n rows plus its k x k Gram matrix
+    chunk = max(1, _CHUNK_BYTES // (8 * k * (XT.shape[1] + k)))
     u_s = -math.inf
     l_s = math.inf
     degenerate = 0
-    for cols, rows_choice in supports:
-        idx = _support_column_indices(cols, rows_choice, d)
-        Xs = X[:, idx]
-        eigs = np.linalg.eigvalsh(Xs.T @ Xs)
-        top = float(eigs[-1])
-        bottom = max(float(eigs[0]), 0.0)
-        if top < _DEGENERATE_TOL:
-            degenerate += 1
-        u_s = max(u_s, top)
-        l_s = min(l_s, bottom)
+    for start in range(0, idx.shape[0], chunk):
+        Xs = XT[idx[start:start + chunk]]
+        eigs = np.linalg.eigvalsh(Xs @ Xs.transpose(0, 2, 1))
+        top = eigs[:, -1]
+        degenerate += int(np.count_nonzero(top < _DEGENERATE_TOL))
+        u_s = max(u_s, float(top.max()))
+        l_s = min(l_s, max(float(eigs[:, 0].min()), 0.0))
     return u_s, l_s, degenerate
 
 
@@ -109,29 +113,42 @@ def dsrip(
     interlacing makes the minimum eigenvalue nonincreasing and the maximum
     nondecreasing as a support grows, so both are attained on maximal
     supports. ``monte_carlo`` samples supports uniformly instead.
+
+    Cost: with k = s*s0 and N supports (the enumerated count, or ``trials``),
+    O(N*k) index storage, then per support a k x n row gather, an
+    O(n*k^2) Gram product and an O(k^3) eigendecomposition. Supports are
+    processed in stacks of at most 4 MiB of gathered rows and Gram matrices,
+    one ``eigvalsh`` call per stack, so working memory beyond the index array
+    does not grow with N.
     """
     X = np.asarray(X, dtype=float)
     if X.shape[1] != m * d:
         raise ValueError(f"X has {X.shape[1]} columns, expected m*d = {m * d}")
+    if not 1 <= s <= m:
+        raise ValueError(f"s must lie in [1, m] = [1, {m}], got {s}")
+    if not 1 <= s0 <= d:
+        raise ValueError(f"s0 must lie in [1, d] = [1, {d}], got {s0}")
+    if not np.all(np.isfinite(X)):
+        raise ValueError("X must be finite")
     if method == "exhaustive":
         count = _support_count(m, d, s, s0)
         if count > _EXHAUSTIVE_GUARD:
             raise ValueError(
                 f"instance too large for exhaustive enumeration: {count} supports"
             )
-        u_s, l_s, degenerate = _extreme_eigs(X, _iter_supports(m, d, s, s0), d)
+        idx = _support_indices(m, d, s, s0)
         flagged = False
         trials_out = None
     elif method == "monte_carlo":
         if not trials or trials < 1:
             raise ValueError("monte_carlo requires a positive trial count")
         rng = stream(seed)
-        supports = (_sample_support(rng, m, d, s, s0) for _ in range(trials))
-        u_s, l_s, degenerate = _extreme_eigs(X, supports, d)
+        idx = np.array([_sample_support(rng, m, d, s, s0) for _ in range(trials)])
         flagged = True
         trials_out = trials
     else:
         raise ValueError(f"unknown method {method!r}")
+    u_s, l_s, degenerate = _extreme_eigs(X, idx)
 
     delta = 1.0 - l_s / u_s if u_s > _DEGENERATE_TOL else 1.0
     delta = min(max(delta, 0.0), 1.0)

@@ -8,11 +8,11 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from itertools import combinations, product
+from itertools import combinations
 
 import numpy as np
 
-from . import threshold
+from . import diagnostics, threshold
 from .core import (
     GroupedMatrix,
     SparsityBudget,
@@ -290,31 +290,23 @@ def constrained_ls_bruteforce(
     sq = V * V
 
     if budget.mode == "hard":
-        s, s0 = min(budget.s, m), min(budget.s0, d)
+        s, s0 = budget.s, budget.s0
         n_candidates = math.comb(m, s) * math.comb(d, s0) ** s
         if n_candidates > _BRUTEFORCE_GUARD:
             raise ValueError(
                 f"instance too large to enumerate: {n_candidates} support candidates"
             )
-        row_subsets = list(combinations(range(d), s0))
-        # captured energy of every (column, row-subset) pair
-        energy = {
-            (j, r): float(sum(sq[i, j] for i in r))
-            for j in range(m)
-            for r in row_subsets
-        }
-        best_gain = -1.0
-        best = None
-        for cols in combinations(range(m), s):
-            for rows_choice in product(row_subsets, repeat=s):
-                gain = sum(energy[(j, r)] for j, r in zip(cols, rows_choice))
-                if gain > best_gain:
-                    best_gain = gain
-                    best = (cols, rows_choice)
+        # entry (i, j) is position d*j + i of the column-major flattening
+        idx = diagnostics._support_indices(m, d, s, s0)
+        captured = sq.ravel(order="F")[idx].reshape(-1, s, s0)
+        # add rows within each column, then columns, in support order
+        per_column = sum(captured[:, :, t] for t in range(s0))
+        gain = sum(per_column[:, c] for c in range(s))
+        # the first maximal candidate wins
+        best = idx[int(np.argmax(gain))]
+        rows, cols = best % d, best // d
         out = np.zeros_like(V)
-        for j, r in zip(best[0], best[1]):
-            for i in r:
-                out[i, j] = V[i, j]
+        out[rows, cols] = V[rows, cols]
         return GroupedMatrix(out)
 
     if budget.mode == "heterogeneous":

@@ -160,6 +160,11 @@ def run_one(cell: Cell, cell_index: int, replicate: int, estimator: str, seed: i
     """Run a single replicate; randomness comes from (seed, cell, replicate)."""
     if estimator not in ESTIMATORS:
         raise ValueError(f"unknown estimator {estimator!r}; choose from {ESTIMATORS}")
+    if cell.q is not None or cell.rq is not None:
+        raise ValueError(
+            "q/rq describe a soft (l_q-ball) signal class, but replicates draw "
+            "hard-sparse signals only; soft-signal replicates are not supported"
+        )
     rng = stream(seed, cell_index, replicate)
     start = time.perf_counter()
     magnitude = _resolve_magnitude(cell)
@@ -287,8 +292,11 @@ def run_sweep(
 def summarize(grid: list, records: list) -> SweepSummary:
     summary = SweepSummary()
     rates, mean_errors = [], []
+    by_cell = {}
+    for rec in records:
+        by_cell.setdefault(rec.cell_index, []).append(rec)
     for ci, cell in enumerate(grid):
-        cell_recs = [r for r in records if r.cell_index == ci]
+        cell_recs = by_cell.get(ci, [])
         errs = np.array([r.sq_error for r in cell_recs])
         bound_vals = [r.bound_flag for r in cell_recs if r.bound_flag is not None]
         excess_vals = [r.excess_flag for r in cell_recs if r.excess_flag is not None]

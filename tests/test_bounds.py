@@ -189,3 +189,27 @@ def test_export_codebook_round_trip(tmp_path):
         i, j, v = triple.split(",")
         first[int(i), int(j)] = float(v)
     assert np.array_equal(first, packing.elements[0].values)
+
+
+def _packing_elements_loop(m, d, s, s0, magnitude):
+    # one element per (column pattern, content code), filled column by column
+    gamma = gv_sphere_packing(m, s, max(math.ceil(s / 4) - 1, 0))
+    b_words = gv_sphere_packing(d, s0, max(math.ceil(s0 / 2) - 1, 0))
+    codes = gv_qary_code(b_words.shape[0], s, math.ceil(s / 2))
+    elements = []
+    for g in gamma:
+        for word in codes:
+            theta = np.zeros((d, m))
+            for t, col in enumerate(np.nonzero(g)[0]):
+                theta[:, col] = magnitude * b_words[word[t]]
+            elements.append(theta)
+    return elements
+
+
+@pytest.mark.parametrize("size", [(8, 8, 2, 2), (6, 6, 2, 2), (10, 6, 3, 2), (5, 4, 1, 2)])
+def test_packing_elements_match_per_element_loop(size):
+    packing = build_khatri_rao_packing(*size, magnitude=1.5)
+    expected = _packing_elements_loop(*size, 1.5)
+    assert len(packing.elements) == len(expected)
+    for element, theta in zip(packing.elements, expected):
+        assert np.array_equal(element.values, theta)

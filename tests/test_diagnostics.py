@@ -116,3 +116,95 @@ def test_report_json_serializes():
     X = simulate.gen_design(16, 16, "identity_scaled", stream(7))
     rep = diagnostics.dsrip(X, 4, 4, 1, 1)
     assert '"delta_s": 0.0' in rep.to_json()
+
+
+def _supports_enumerated(m, d, s, s0):
+    return [
+        [d * j + i for j, rows in zip(cols, rows_choice) for i in rows]
+        for cols in combinations(range(m), s)
+        for rows_choice in product(combinations(range(d), s0), repeat=s)
+    ]
+
+
+@pytest.mark.parametrize(
+    "m,d,s,s0", [(6, 8, 2, 3), (4, 4, 2, 2), (5, 3, 1, 3), (3, 5, 3, 1), (1, 1, 1, 1)]
+)
+def test_support_indices_match_enumeration(m, d, s, s0):
+    idx = diagnostics._support_indices(m, d, s, s0)
+    assert idx.dtype == np.intp
+    assert idx.shape == (diagnostics._support_count(m, d, s, s0), s * s0)
+    assert idx.tolist() == _supports_enumerated(m, d, s, s0)
+
+
+def _sampled_supports(seed, trials, m, d, s, s0):
+    # the per-trial draws of the Monte-Carlo method: sorted columns, then
+    # sorted rows for each column in turn
+    rng = stream(seed)
+    out = []
+    for _ in range(trials):
+        cols = sorted(rng.choice(m, size=s, replace=False).tolist())
+        rows = [sorted(rng.choice(d, size=s0, replace=False).tolist()) for _ in cols]
+        out.append([d * j + i for j, r in zip(cols, rows) for i in r])
+    return out
+
+
+def _extreme_eigs_loop(X, supports):
+    u_s, l_s, degenerate = -math.inf, math.inf, 0
+    for idx in supports:
+        Xs = X[:, idx]
+        eigs = np.linalg.eigvalsh(Xs.T @ Xs)
+        top, bottom = float(eigs[-1]), max(float(eigs[0]), 0.0)
+        degenerate += top < 1e-12
+        u_s, l_s = max(u_s, top), min(l_s, bottom)
+    return u_s, l_s, degenerate
+
+
+def _designs():
+    rng = stream(20)
+    for m, d, s, s0, n in [(4, 4, 2, 2, 30), (5, 3, 2, 1, 12), (3, 6, 2, 3, 50)]:
+        yield m, d, s, s0, simulate.gen_design(n, m * d, "gaussian_iid", rng)
+    yield 4, 4, 2, 2, simulate.gen_design(16, 16, "identity_scaled", rng)
+    X = simulate.gen_design(30, 8, "gaussian_iid", rng)
+    X[:, 1] = X[:, 0]
+    yield 4, 2, 1, 2, X
+    X = np.zeros((10, 8))
+    X[:, 5] = 1.0
+    yield 4, 2, 2, 1, X  # supports of all-zero columns are degenerate
+
+
+@pytest.mark.parametrize("chunk_bytes", [None, 1, 5000])
+@pytest.mark.parametrize("method", ["exhaustive", "monte_carlo"])
+def test_dsrip_matches_per_support_loop(monkeypatch, chunk_bytes, method):
+    if chunk_bytes is not None:
+        # one support per chunk, or a few per chunk with a ragged last one
+        monkeypatch.setattr(diagnostics, "_CHUNK_BYTES", chunk_bytes)
+    for m, d, s, s0, X in _designs():
+        if method == "exhaustive":
+            rep = diagnostics.dsrip(X, m, d, s, s0)
+            supports = _supports_enumerated(m, d, s, s0)
+        else:
+            rep = diagnostics.dsrip(X, m, d, s, s0, method=method, trials=37, seed=4)
+            supports = _sampled_supports(4, 37, m, d, s, s0)
+        u_s, l_s, degenerate = _extreme_eigs_loop(X, supports)
+        assert (rep.u_s, rep.l_s, rep.degenerate_supports) == (u_s, l_s, degenerate)
+        delta = 1.0 - l_s / u_s if u_s > 1e-12 else 1.0
+        assert rep.delta_s == min(max(delta, 0.0), 1.0)
+
+
+@pytest.mark.parametrize("method", ["exhaustive", "monte_carlo"])
+@pytest.mark.parametrize(
+    "s,s0,name", [(0, 2, "s"), (5, 2, "s"), (2, 0, "s0"), (2, 5, "s0")]
+)
+def test_dsrip_rejects_budget_outside_grid(method, s, s0, name):
+    X = simulate.gen_design(20, 16, "gaussian_iid", stream(21))
+    with pytest.raises(ValueError, match=rf"^{name} must lie in"):
+        diagnostics.dsrip(X, 4, 4, s, s0, method=method, trials=5)
+
+
+@pytest.mark.parametrize("method", ["exhaustive", "monte_carlo"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_dsrip_rejects_non_finite_design(method, bad):
+    X = simulate.gen_design(20, 16, "gaussian_iid", stream(22))
+    X[3, 7] = bad
+    with pytest.raises(ValueError, match="X must be finite"):
+        diagnostics.dsrip(X, 4, 4, 2, 2, method=method, trials=5)

@@ -1,4 +1,5 @@
 import math
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -226,6 +227,42 @@ def test_bruteforce_heterogeneous_beats_hard_projection():
     err_hard = np.sum((hard.values - V) ** 2)
     assert err_het == 0.0
     assert err_hard > 0.0
+
+
+def _bruteforce_hard_loop(V, s, s0):
+    # scalar scan: first candidate with strictly larger captured energy wins
+    d, m = V.shape
+    sq = V * V
+    row_subsets = list(combinations(range(d), s0))
+    energy = {
+        (j, r): float(sum(sq[i, j] for i in r)) for j in range(m) for r in row_subsets
+    }
+    best_gain, best = -1.0, None
+    for cols in combinations(range(m), s):
+        for rows_choice in product(row_subsets, repeat=s):
+            gain = sum(energy[(j, r)] for j, r in zip(cols, rows_choice))
+            if gain > best_gain:
+                best_gain, best = gain, (cols, rows_choice)
+    out = np.zeros_like(V)
+    for j, r in zip(*best):
+        for i in r:
+            out[i, j] = V[i, j]
+    return out
+
+
+def test_bruteforce_hard_matches_scalar_scan_on_tie_grids():
+    rng = stream(19)
+    for _ in range(300):
+        d = int(rng.integers(1, 6))
+        m = int(rng.integers(1, 6))
+        s = int(rng.integers(1, min(m, 3) + 1))
+        s0 = int(rng.integers(1, min(d, 3) + 1))
+        # few distinct magnitudes: most candidates tie with another
+        V = rng.integers(-2, 3, size=(d, m)) * 0.5
+        brute = estimators.constrained_ls_bruteforce(
+            GroupedMatrix(V), SparsityBudget.hard(m, d, s, s0)
+        )
+        assert np.array_equal(brute.values, _bruteforce_hard_loop(V, s, s0))
 
 
 def test_bruteforce_guard_raises():

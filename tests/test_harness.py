@@ -90,6 +90,14 @@ def test_summary_slope_requires_three_rates():
     assert summary3.slope is not None
 
 
+@pytest.mark.parametrize("q,rq", [(0.5, 1.0), (0.5, None), (None, 1.0)])
+@pytest.mark.parametrize("estimator", ["dsiht", "projection_glm"])
+def test_soft_signal_cell_rejected(q, rq, estimator):
+    cell = Cell(m=6, d=6, s=2, s0=2, n=40, sigma=1.0, q=q, rq=rq, design="identity")
+    with pytest.raises(ValueError, match="soft-signal replicates are not supported"):
+        harness.run_one(cell, 0, 0, estimator, seed=0)
+
+
 def test_iht_baseline_estimator_runs():
     cell = Cell(m=6, d=6, s=2, s0=2, n=80, sigma=0.5)
     rec = run_cell(cell, 1, "iht_baseline", seed=9)[0]
@@ -117,6 +125,17 @@ def test_cli_rates():
     assert proc.returncode == 0
     out = json.loads(proc.stdout)
     assert out["hard"]["total"] == pytest.approx(0.1709, abs=5e-4)
+
+
+def test_cli_soft_class_rejected_by_sweep_kept_by_rates():
+    args = ("--m", "6", "--d", "6", "--s", "2", "--s0", "2", "--n", "50",
+            "--sigma", "1.0", "--q", "0.5", "--rq", "1.0")
+    sweep = _cli("sweep", "--replicates", "2", *args)
+    assert sweep.returncode == 1
+    assert "soft-signal replicates are not supported" in sweep.stderr
+    rates = _cli("rates", *args)
+    assert rates.returncode == 0
+    assert json.loads(rates.stdout)["soft"]["total"] > 0
 
 
 def test_cli_solve_and_exit_codes(tmp_path):
