@@ -162,6 +162,8 @@ class SparsityBudget:
                 object.__setattr__(
                     self, "s0", min(self.d, math.ceil(self.s_prime / self.s))
                 )
+            elif not 1 <= self.s0 <= self.d:
+                raise ValueError(f"s0 must lie in [1, d]={self.d}, got {self.s0}")
         else:
             raise ValueError(f"unknown mode {self.mode!r}")
 

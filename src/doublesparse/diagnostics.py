@@ -96,6 +96,23 @@ def _extreme_eigs(X, idx):
     return u_s, l_s, degenerate
 
 
+def _checked_design(X, m, d, s, s0) -> np.ndarray:
+    """``X`` as a float array, after checking that it is a finite n x (m*d)
+    matrix and that the budget (s, s0) fits the d x m grid."""
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2:
+        raise ValueError(f"X must be a 2-d n x p array, got shape {X.shape}")
+    if X.shape[1] != m * d:
+        raise ValueError(f"X has {X.shape[1]} columns, expected m*d = {m * d}")
+    if not 1 <= s <= m:
+        raise ValueError(f"s must lie in [1, m] = [1, {m}], got {s}")
+    if not 1 <= s0 <= d:
+        raise ValueError(f"s0 must lie in [1, d] = [1, {d}], got {s0}")
+    if not np.all(np.isfinite(X)):
+        raise ValueError("X must be finite")
+    return X
+
+
 def dsrip(
     X: np.ndarray,
     m: int,
@@ -121,15 +138,7 @@ def dsrip(
     one ``eigvalsh`` call per stack, so working memory beyond the index array
     does not grow with N.
     """
-    X = np.asarray(X, dtype=float)
-    if X.shape[1] != m * d:
-        raise ValueError(f"X has {X.shape[1]} columns, expected m*d = {m * d}")
-    if not 1 <= s <= m:
-        raise ValueError(f"s must lie in [1, m] = [1, {m}], got {s}")
-    if not 1 <= s0 <= d:
-        raise ValueError(f"s0 must lie in [1, d] = [1, {d}], got {s0}")
-    if not np.all(np.isfinite(X)):
-        raise ValueError("X must be finite")
+    X = _checked_design(X, m, d, s, s0)
     if method == "exhaustive":
         count = _support_count(m, d, s, s0)
         if count > _EXHAUSTIVE_GUARD:
@@ -192,11 +201,9 @@ def noise_event_stat(
     column, sum of the s0 largest squared entries; then the sum of the s
     largest column scores.
     """
-    X = np.asarray(X, dtype=float)
+    X = _checked_design(X, m, d, s, s0)
     xi = np.asarray(xi, dtype=float)
     n = X.shape[0]
-    if X.shape[1] != m * d:
-        raise ValueError(f"X has {X.shape[1]} columns, expected m*d = {m * d}")
     xi_corr = (X.T @ xi / n).reshape((d, m), order="F")
     sq = xi_corr * xi_corr
     top_rows = np.sort(sq, axis=0)[::-1, :][:s0, :]

@@ -165,77 +165,58 @@ def run_one(cell: Cell, cell_index: int, replicate: int, estimator: str, seed: i
             "q/rq describe a soft (l_q-ball) signal class, but replicates draw "
             "hard-sparse signals only; soft-signal replicates are not supported"
         )
+    design = cell.design or (
+        "identity" if estimator == "projection_glm" else "gaussian_iid"
+    )
+    if estimator == "projection_glm" and design != "identity":
+        raise ValueError(
+            "projection_glm estimates a location model; only the identity "
+            f"design is compatible, got {design!r}"
+        )
     rng = stream(seed, cell_index, replicate)
     start = time.perf_counter()
     magnitude = _resolve_magnitude(cell)
 
+    budget = SparsityBudget.hard(cell.m, cell.d, cell.s, cell.s0)
+    spec = simulate.SignalSpec(budget, simulate.Constant(magnitude), sign="random")
+    theta_star = simulate.gen_signal(spec, rng)
+    lambda0 = lambda_inf = bound_flag = excess_flag = None
+
     if estimator == "projection_glm":
-        design = cell.design or "identity"
-        if design != "identity":
-            raise ValueError(
-                "projection_glm estimates a location model; only the identity "
-                f"design is compatible, got {design!r}"
-            )
-        budget = SparsityBudget.hard(cell.m, cell.d, cell.s, cell.s0)
-        spec = simulate.SignalSpec(budget, simulate.Constant(magnitude), sign="random")
-        theta_star = simulate.gen_signal(spec, rng)
         Y = simulate.gen_glm(theta_star, NoiseModel(cell.sigma, cell.n), rng)
         theta_hat = estimators.project_double_sparse(Y, cell.s, cell.s0)
         sq_error = float(np.sum((theta_hat.values - theta_star.values) ** 2))
-        record = ExperimentRecord(
-            estimator=estimator, cell_index=cell_index, replicate=replicate,
-            seed=seed, m=cell.m, d=cell.d, s=cell.s, s0=cell.s0, n=cell.n,
-            sigma=cell.sigma, q=cell.q, rq=cell.rq, kappa=cell.kappa,
-            lambda0=None, lambda_inf=None, design=design,
-            sq_error=sq_error, iterations=1, bound_flag=None, excess_flag=None,
-            rate_value=_cell_rate(cell),
-            wall_time_s=time.perf_counter() - start,
-        )
-        return record
-
-    design = cell.design or "gaussian_iid"
-    if estimator == "dsiht_heterogeneous":
-        budget = SparsityBudget.heterogeneous(
-            cell.m, cell.d, cell.s, cell.s * cell.s0, s0=cell.s0
-        )
+        iterations = 1
     else:
-        budget = SparsityBudget.hard(cell.m, cell.d, cell.s, cell.s0)
+        beta_star = theta_star.values.reshape(-1, order="F")
+        kind = "identity_scaled" if design == "identity" else design
+        X = simulate.gen_design(cell.n, cell.p, kind, rng)
+        Y = simulate.gen_regression(X, beta_star, NoiseModel(cell.sigma, cell.n), rng)
 
-    signal_budget = SparsityBudget.hard(cell.m, cell.d, cell.s, cell.s0)
-    spec = simulate.SignalSpec(signal_budget, simulate.Constant(magnitude), sign="random")
-    theta_star = simulate.gen_signal(spec, rng)
-    beta_star = theta_star.values.reshape(-1, order="F")
-    kind = "identity_scaled" if design == "identity" else design
-    X = simulate.gen_design(cell.n, cell.p, kind, rng)
-    Y = simulate.gen_regression(X, beta_star, NoiseModel(cell.sigma, cell.n), rng)
+        lambda_inf = _resolve_lambda_inf(cell, magnitude)
+        lambda0 = cell.lambda0
+        if lambda0 is None:
+            lambda0 = max(
+                estimators.default_lambda0(X, Y, cell.s, cell.s0), lambda_inf
+            )
+        schedule = estimators.ThresholdSchedule(lambda0, cell.kappa, lambda_inf)
 
-    lambda_inf = _resolve_lambda_inf(cell, magnitude)
-    lambda0 = cell.lambda0
-    if lambda0 is None:
-        lambda0 = max(
-            estimators.default_lambda0(X, Y, cell.s, cell.s0), lambda_inf
-        )
-    schedule = estimators.ThresholdSchedule(lambda0, cell.kappa, lambda_inf)
+        if estimator == "iht_baseline":
+            beta_hat = estimators.iht_baseline(X, Y, cell.s * cell.s0, _BASELINE_STEPS)
+            iterations = _BASELINE_STEPS
+        else:
+            if estimator == "dsiht_heterogeneous":
+                budget = SparsityBudget.heterogeneous(
+                    cell.m, cell.d, cell.s, cell.s * cell.s0, s0=cell.s0
+                )
+            # looked up at call time, so a wrapper set on the module is used
+            solver = getattr(estimators, estimator)
+            beta_hat, trace = solver(X, Y, budget, schedule, truth=beta_star)
+            iterations = trace.iterations
+            bound_flag = all(trace.bound_held)
+            excess_flag = all(trace.excess_admissible)
+        sq_error = float(np.sum((beta_hat - beta_star) ** 2))
 
-    if estimator == "dsiht":
-        beta_hat, trace = estimators.dsiht(X, Y, budget, schedule, truth=beta_star)
-        iterations = trace.iterations
-        bound_flag = all(trace.bound_held)
-        excess_flag = all(trace.excess_admissible)
-    elif estimator == "dsiht_heterogeneous":
-        beta_hat, trace = estimators.dsiht_heterogeneous(
-            X, Y, budget, schedule, truth=beta_star
-        )
-        iterations = trace.iterations
-        bound_flag = all(trace.bound_held)
-        excess_flag = all(trace.excess_admissible)
-    else:  # iht_baseline
-        beta_hat = estimators.iht_baseline(X, Y, cell.s * cell.s0, _BASELINE_STEPS)
-        iterations = _BASELINE_STEPS
-        bound_flag = None
-        excess_flag = None
-
-    sq_error = float(np.sum((beta_hat - beta_star) ** 2))
     return ExperimentRecord(
         estimator=estimator, cell_index=cell_index, replicate=replicate,
         seed=seed, m=cell.m, d=cell.d, s=cell.s, s0=cell.s0, n=cell.n,
@@ -409,8 +390,15 @@ def _parse_float_list(text: str):
     return [float(v) for v in text.split(",")]
 
 
-def _load_config(path) -> dict:
-    values = {}
+def _config_flags(argv) -> list:
+    """The ``key = value`` lines of the ``--config`` file named in ``argv``,
+    as ``--key=value`` flags (``_`` in a key becomes ``-``)."""
+    pre = argparse.ArgumentParser(add_help=False)
+    pre.add_argument("--config")
+    path = pre.parse_known_args(argv)[0].config
+    if path is None:
+        return []
+    flags = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
@@ -419,8 +407,8 @@ def _load_config(path) -> dict:
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
             key, _, value = line.partition("=")
-            values[key.strip().replace("-", "_")] = value.strip()
-    return values
+            flags.append(f"--{key.strip().replace('_', '-')}={value.strip()}")
+    return flags
 
 
 def _add_common(parser):
@@ -486,31 +474,6 @@ def _build_parser():
     rates = sub.add_parser("rates", help="evaluate the rate formulas")
     _add_common(rates)
     return parser
-
-
-def _all_parsers(parser):
-    yield parser
-    for action in parser._actions:
-        if isinstance(action, argparse._SubParsersAction):
-            yield from action.choices.values()
-
-
-def _apply_config(parser, args, argv):
-    if getattr(args, "config", None):
-        defaults = _load_config(args.config)
-        # flags win over config values: re-parse with config as defaults.
-        # Defaults must go on every (sub)parser owning the option, and
-        # argparse does not run type conversion on defaults, so do it here.
-        for sub in _all_parsers(parser):
-            usable = {}
-            for action in sub._actions:
-                if action.dest in defaults:
-                    raw = defaults[action.dest]
-                    usable[action.dest] = action.type(raw) if action.type else raw
-            if usable:
-                sub.set_defaults(**usable)
-        args = parser.parse_args(argv)
-    return args
 
 
 def _single(values, flag):
@@ -652,12 +615,16 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-        args = _apply_config(parser, args, argv)
+        # config values go right after the subcommand, so later flags win
+        # and argparse converts and checks them like typed flags
+        argv[1:1] = _config_flags(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return 1 if exc.code not in (0, None) else 0
+    except (ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     try:
         handler = _COMMANDS[args.command]
     except KeyError:

@@ -113,26 +113,16 @@ def gen_signal(spec: SignalSpec, seed) -> GroupedMatrix:
         return out
 
     if budget.mode == "hard":
-        per_col = budget.s0
+        counts = [budget.s0] * s
     else:  # heterogeneous: spread s_prime entries over the chosen columns
         base, extra = divmod(budget.s_prime, s)
-        per_col = None
-
-    if budget.mode == "hard":
-        for j in cols:
-            rows = rng.choice(d, size=per_col, replace=False)
-            mags = _draw_magnitudes(spec.magnitude, rng, per_col)
-            theta[rows, j] = mags * _signs(rng, per_col, spec.sign)
-    else:
         counts = [base + (1 if t < extra else 0) for t in range(s)]
-        for j, cnt in zip(cols, counts):
-            if cnt == 0:
-                continue
-            if cnt > d:
-                raise ValueError("s_prime spreads to more entries than a column holds")
-            rows = rng.choice(d, size=cnt, replace=False)
-            mags = _draw_magnitudes(spec.magnitude, rng, cnt)
-            theta[rows, j] = mags * _signs(rng, cnt, spec.sign)
+    for j, cnt in zip(cols, counts):
+        if cnt == 0:
+            continue
+        rows = rng.choice(d, size=cnt, replace=False)
+        mags = _draw_magnitudes(spec.magnitude, rng, cnt)
+        theta[rows, j] = mags * _signs(rng, cnt, spec.sign)
 
     out = GroupedMatrix(theta)
     _check_admissible(budget, out)

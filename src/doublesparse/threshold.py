@@ -3,7 +3,7 @@
 Stage 1 zeroes entries with magnitude below ``lam`` (keep on equality).
 Stage 2 keeps columns whose squared mass reaches ``s0 * lam**2`` and prunes
 rows past the largest order-statistic index whose cross-column squared mass
-reaches ``s * lam**2``.
+reaches ``s * lam**2``; the heterogeneous variant skips the row condition.
 
 ``literal_oracle`` re-implements the same definitions with plain Python
 loops and no vectorized shortcuts; it exists so tests can cross-check the
@@ -52,19 +52,12 @@ def step1_entrywise(U: GroupedMatrix, lam: float) -> GroupedMatrix:
     return GroupedMatrix(np.where(np.abs(V) >= lam, V, 0.0))
 
 
-def step2_matrix(U: GroupedMatrix, lam: float, s: int, s0: int) -> ThresholdOutcome:
-    """Matrix-condition stage: column selection plus row-rank pruning.
-
-    A column j is selected when sum_i U_ij^2 >= s0*lam^2. The row cut i_max is
-    the largest rank i such that the i-th largest squared magnitudes, summed
-    over all m columns, reach s*lam^2 (0 if none). An entry (i, j) stays
-    active when its magnitude rank within column j, counted as
-    #{k : |U_kj| >= |U_ij|} with ties included, is at most i_max.
-
-    The rank is never formed: with desc_j the magnitudes of column j in
-    non-increasing order, the rank condition holds exactly when
-    |U_ij| > desc_j[i_max] (0-based), and for every entry when i_max = d.
-    """
+def _matrix_stage(
+    U: GroupedMatrix, lam: float, s: int, s0: int, row_condition: bool
+) -> ThresholdOutcome:
+    """Column condition, then the row condition unless ``row_condition`` is
+    false, in which case i_max = d and every nonzero entry of a selected
+    column stays active."""
     if lam <= 0:
         raise ValueError("lam must be positive")
     d, m = U.rows, U.cols
@@ -78,15 +71,17 @@ def step2_matrix(U: GroupedMatrix, lam: float, s: int, s0: int) -> ThresholdOutc
     col_scores = np.sum(V * V, axis=0)
     selected = col_scores >= s0 * lam * lam
 
-    # i-th non-increasing magnitude order statistic per column, squared,
-    # summed across columns
-    order = np.sort(A, axis=0)[::-1, :]
-    row_scores = np.sum(order * order, axis=1)
-    qualifying = np.nonzero(row_scores >= s * lam * lam)[0]
-    i_max = int(qualifying[-1]) + 1 if qualifying.size else 0
-
-    # #{k : |U_kj| >= |U_ij|} <= i_max  <=>  |U_ij| > order[i_max, j]
-    cut = order[i_max] if i_max < d else -np.inf
+    if row_condition:
+        # i-th non-increasing magnitude order statistic per column, squared,
+        # summed across columns
+        order = np.sort(A, axis=0)[::-1, :]
+        row_scores = np.sum(order * order, axis=1)
+        qualifying = np.nonzero(row_scores >= s * lam * lam)[0]
+        i_max = int(qualifying[-1]) + 1 if qualifying.size else 0
+        # #{k : |U_kj| >= |U_ij|} <= i_max  <=>  |U_ij| > order[i_max, j]
+        cut = order[i_max] if i_max < d else -np.inf
+    else:
+        i_max, cut = d, 0.0
     active = (A > cut) & selected[None, :]
 
     result = GroupedMatrix(np.where(active, V, 0.0))
@@ -94,6 +89,22 @@ def step2_matrix(U: GroupedMatrix, lam: float, s: int, s0: int) -> ThresholdOutc
     active_set = SupportSet(frozenset(zip(rows.tolist(), cols.tolist())))
     sel_cols = frozenset(np.nonzero(selected)[0].tolist())
     return ThresholdOutcome(result, sel_cols, i_max, active_set)
+
+
+def step2_matrix(U: GroupedMatrix, lam: float, s: int, s0: int) -> ThresholdOutcome:
+    """Matrix-condition stage: column selection plus row-rank pruning.
+
+    A column j is selected when sum_i U_ij^2 >= s0*lam^2. The row cut i_max is
+    the largest rank i such that the i-th largest squared magnitudes, summed
+    over all m columns, reach s*lam^2 (0 if none). An entry (i, j) stays
+    active when its magnitude rank within column j, counted as
+    #{k : |U_kj| >= |U_ij|} with ties included, is at most i_max.
+
+    The rank is never formed: with desc_j the magnitudes of column j in
+    non-increasing order, the rank condition holds exactly when
+    |U_ij| > desc_j[i_max] (0-based), and for every entry when i_max = d.
+    """
+    return _matrix_stage(U, lam, s, s0, row_condition=True)
 
 
 def apply(U: GroupedMatrix, lam: float, budget: SparsityBudget) -> ThresholdOutcome:
@@ -111,18 +122,9 @@ def apply_heterogeneous(
     cut is reported as the full depth d."""
     if budget.mode != "heterogeneous":
         raise ValueError("expected a heterogeneous-mode budget")
-    if lam <= 0:
-        raise ValueError("lam must be positive")
-    V1 = step1_entrywise(U, lam)
-    V = V1.values
-    col_scores = np.sum(V * V, axis=0)
-    selected = col_scores >= budget.s0 * lam * lam
-    keep = (V != 0.0) & selected[None, :]
-    result = GroupedMatrix(np.where(selected[None, :], V, 0.0))
-    rows, cols = np.nonzero(keep)
-    active_set = SupportSet(frozenset(zip(rows.tolist(), cols.tolist())))
-    sel_cols = frozenset(np.nonzero(selected)[0].tolist())
-    return ThresholdOutcome(result, sel_cols, U.rows, active_set)
+    return _matrix_stage(
+        step1_entrywise(U, lam), lam, budget.s, budget.s0, row_condition=False
+    )
 
 
 def literal_oracle(

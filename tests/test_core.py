@@ -83,6 +83,9 @@ def test_budget_validation():
         SparsityBudget.soft(4, 4, 2, q=1.5, rq=1.0)
     with pytest.raises(ValueError):
         SparsityBudget.heterogeneous(4, 4, 2, s_prime=9)
+    for s0 in (0, 5, 99):
+        with pytest.raises(ValueError, match="s0"):
+            SparsityBudget.heterogeneous(4, 3, 2, s_prime=4, s0=s0)
 
 
 def test_heterogeneous_s0_default():

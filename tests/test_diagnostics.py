@@ -208,3 +208,21 @@ def test_dsrip_rejects_non_finite_design(method, bad):
     X[3, 7] = bad
     with pytest.raises(ValueError, match="X must be finite"):
         diagnostics.dsrip(X, 4, 4, 2, 2, method=method, trials=5)
+
+
+@pytest.mark.parametrize(
+    "s,s0,name", [(0, 2, "s"), (5, 2, "s"), (2, 0, "s0"), (2, 5, "s0")]
+)
+def test_noise_stat_rejects_budget_outside_grid(s, s0, name):
+    rng = stream(23)
+    X = simulate.gen_design(20, 16, "gaussian_iid", rng)
+    xi = rng.normal(size=20)
+    with pytest.raises(ValueError, match=rf"^{name} must lie in"):
+        diagnostics.noise_event_stat(X, xi, 4, 4, s, s0)
+
+
+def test_one_dimensional_design_rejected():
+    with pytest.raises(ValueError, match="^X must be a 2-d"):
+        diagnostics.dsrip(np.zeros(16), 4, 4, 1, 1)
+    with pytest.raises(ValueError, match="^X must be a 2-d"):
+        diagnostics.noise_event_stat(np.zeros(16), np.zeros(16), 4, 4, 1, 1)

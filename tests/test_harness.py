@@ -163,6 +163,12 @@ def test_cli_sweep_with_config(tmp_path):
                  "--replicates", "3", "--out", str(out), "--seed", "3")
     assert proc2.returncode == 0
     assert len(out.read_text().strip().splitlines()) == 1 + 2 * 3
+    # a key no option of the subcommand takes is an error, not ignored
+    typo = tmp_path / "typo.cfg"
+    typo.write_text("sigmaa = 3\n")
+    proc3 = _cli("rates", "--config", str(typo))
+    assert proc3.returncode == 1
+    assert "sigmaa" in proc3.stderr
 
 
 def test_cli_generate(tmp_path):

@@ -93,6 +93,14 @@ def test_oracle_matches_fast_path_on_tie_grids():
         elif out.row_cut == U.rows:
             edges.add("full")
 
+        het = SparsityBudget.heterogeneous(U.cols, U.rows, s, s * s0, s0=s0)
+        out = threshold.apply_heterogeneous(U, lam, het)
+        slow = threshold.literal_oracle(U, lam, s, s0, row_condition=False).values
+        assert np.array_equal(out.result.values, slow)
+        assert out.row_cut == U.rows
+        rows, cols = np.nonzero(out.result.values)
+        assert out.active_set.entries == frozenset(zip(rows.tolist(), cols.tolist()))
+
     check()
     # both edges of the order-statistic comparison were exercised
     assert edges == {"none", "full"}
