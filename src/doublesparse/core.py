@@ -9,6 +9,7 @@ component ``d*j + i`` of the vector, zero-based).
 from __future__ import annotations
 
 import math
+import struct
 import warnings
 from dataclasses import dataclass
 
@@ -24,6 +25,8 @@ __all__ = [
     "support_of",
     "excess_support",
     "stream",
+    "float_text",
+    "text_float",
 ]
 
 
@@ -246,3 +249,29 @@ def stream(seed: int, *ids: int) -> np.random.Generator:
     the order in which they are drawn.
     """
     return np.random.default_rng([int(seed), *[int(i) for i in ids]])
+
+
+def _float_bits(value: float) -> int:
+    return struct.unpack("<Q", struct.pack("<d", value))[0]
+
+
+_QUIET_NAN_BITS = _float_bits(math.nan)
+
+
+def float_text(value: float) -> str:
+    """Text that :func:`text_float` reads back to the same 64 bits: the
+    shortest round-trip ``repr``, except that a NaN other than the positive
+    quiet NaN (``repr`` writes every NaN as ``nan``) is written as ``nan:``
+    and its bits in hex."""
+    value = float(value)
+    bits = _float_bits(value)
+    if math.isnan(value) and bits != _QUIET_NAN_BITS:
+        return f"nan:{bits:016x}"
+    return repr(value)
+
+
+def text_float(text: str) -> float:
+    """Inverse of :func:`float_text`."""
+    if text.startswith("nan:"):
+        return struct.unpack("<d", struct.pack("<Q", int(text[4:], 16)))[0]
+    return float(text)

@@ -105,7 +105,6 @@ def default_lambda0(X: np.ndarray, Y: np.ndarray, s: int, s0: int) -> float:
 
 
 def _validate_design(X: np.ndarray, Y: np.ndarray, p: int) -> int:
-    X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != p:
         raise ValueError(f"X must be n x p with p={p}, got shape {X.shape}")
     n = X.shape[0]
@@ -127,18 +126,20 @@ def _validate_design(X: np.ndarray, Y: np.ndarray, p: int) -> int:
 
 def _iterate(X, Y, budget, schedule, beta0, truth, operator, bound_constant):
     p = budget.p
+    X = np.asanyarray(X, dtype=float)
+    Y = np.asanyarray(Y, dtype=float)
     n = _validate_design(X, Y, p)
-    if beta0 is None:
-        beta0 = np.zeros(p)
-    beta0 = np.asarray(beta0, dtype=float)
+    beta0 = np.zeros(p) if beta0 is None else np.asanyarray(beta0, dtype=float)
     if beta0.shape != (p,):
-        raise ValueError(f"beta0 must have shape ({p},)")
+        raise ValueError(f"beta0 must have shape ({p},), got {beta0.shape}")
     if not np.all(np.isfinite(beta0)):
         raise ValueError("beta0 must be finite")
 
     truth_supp = None
     if truth is not None:
-        truth = np.asarray(truth, dtype=float)
+        truth = np.asanyarray(truth, dtype=float)
+        if truth.shape != (p,):
+            raise ValueError(f"truth must have shape ({p},), got {truth.shape}")
         truth_supp = support_of(vec_to_matrix(truth, budget.m, budget.d))
 
     trace = IterationTrace(bound_constant=bound_constant)
@@ -181,17 +182,26 @@ def _iterate(X, Y, budget, schedule, beta0, truth, operator, bound_constant):
         return beta0.copy(), trace
 
     sqrt_kappa = math.sqrt(schedule.kappa)
-    fit = X @ beta  # the caller's beta0 may be dense
+    # a zero start fits zero; a caller's nonzero beta0 may be dense
+    fit = X @ beta if np.any(beta) else np.zeros(n)
+    U = None
     while lam >= schedule.lambda_inf:
-        grad_step = beta + X.T @ (Y - fit) / n
-        if not np.all(np.isfinite(grad_step)):
-            raise FloatingPointError("non-finite values in the solver iterate")
-        U = vec_to_matrix(grad_step, budget.m, budget.d)
+        if U is None:
+            grad_step = beta + X.T @ (Y - fit) / n
+            if not np.all(np.isfinite(grad_step)):
+                raise FloatingPointError("non-finite values in the solver iterate")
+            U = vec_to_matrix(grad_step, budget.m, budget.d)
         outcome = operator(U, lam, budget)
-        beta = matrix_to_vec(outcome.result)
-        # a threshold output is sparse: multiply over its support only
-        nz = np.flatnonzero(beta)
-        fit = X[:, nz] @ beta[nz]
+        new_beta = matrix_to_vec(outcome.result)
+        # an iterate with the same bits has the same gradient step: keep U.
+        # Compare bits, not values: a caller's beta0 may hold -0.0 where the
+        # operator writes +0.0.
+        if not np.array_equal(new_beta.view(np.int64), beta.view(np.int64)):
+            # a threshold output is sparse: multiply over its support only
+            nz = np.flatnonzero(new_beta)
+            fit = X[:, nz] @ new_beta[nz]
+            U = None
+        beta = new_beta
         lam = lam * sqrt_kappa
         record(beta, lam)
 
@@ -216,6 +226,12 @@ def dsiht(
     operator while the geometrically decaying lam stays at or above
     lambda_inf; returns the second-to-last iterate together with the trace.
     Columns of X must be normalized to norm sqrt(n).
+
+    Cost: one pass over X (the backward product X^T r) per distinct iterate,
+    plus a forward product over the iterate's support when it changes. An
+    iterate that comes out of the operator unchanged, bit for bit, reuses its
+    gradient step; so does the zero phase while lam is still above every
+    signal entry. Only a nonzero ``beta0`` costs a dense forward product.
     """
     if budget.mode != "hard":
         raise ValueError("dsiht expects a hard-mode budget")

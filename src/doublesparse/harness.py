@@ -22,7 +22,15 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from . import bounds, diagnostics, estimators, simulate
-from .core import GroupedMatrix, NoiseModel, SparsityBudget, stream, vec_to_matrix
+from .core import (
+    GroupedMatrix,
+    NoiseModel,
+    SparsityBudget,
+    float_text,
+    stream,
+    text_float,
+    vec_to_matrix,
+)
 
 __all__ = [
     "Cell",
@@ -64,6 +72,7 @@ RECORD_FIELDS = [
 
 _INT_FIELDS = {"cell_index", "replicate", "seed", "m", "d", "s", "s0", "n", "iterations"}
 _BOOL_FIELDS = {"bound_flag", "excess_flag"}
+_STR_FIELDS = {"estimator", "design"}
 
 _BASELINE_STEPS = 50
 
@@ -312,7 +321,7 @@ def _format_value(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
-        return repr(value)
+        return float_text(value)
     return str(value)
 
 
@@ -323,9 +332,18 @@ def _parse_value(name: str, text: str):
         return text == "true"
     if name in _INT_FIELDS:
         return int(text)
-    if name in ("estimator", "design"):
+    if name in _STR_FIELDS:
         return text
-    return float(text)
+    return text_float(text)
+
+
+def _json_value(value):
+    # json writes every NaN as NaN; one it would not read back bit for bit
+    # goes as its float_text string
+    if isinstance(value, float) and math.isnan(value):
+        text = float_text(value)
+        return value if text == "nan" else text
+    return value
 
 
 def emit(records: list, path, fmt: str = "csv", include_timing: bool = False) -> None:
@@ -347,7 +365,7 @@ def emit(records: list, path, fmt: str = "csv", include_timing: bool = False) ->
         elif fmt == "json":
             with open(path, "w", encoding="utf-8") as fh:
                 for rec in records:
-                    row = {f: getattr(rec, f) for f in fields}
+                    row = {f: _json_value(getattr(rec, f)) for f in fields}
                     fh.write(json.dumps(row) + "\n")
         else:
             raise ValueError(f"unknown format {fmt!r}")
@@ -371,7 +389,12 @@ def read_records(path, fmt: str = "csv") -> list:
             for line in fh:
                 if not line.strip():
                     continue
-                kwargs = json.loads(line)
+                kwargs = {
+                    name: text_float(value)
+                    if isinstance(value, str) and name not in _STR_FIELDS
+                    else value
+                    for name, value in json.loads(line).items()
+                }
                 records.append(ExperimentRecord(**{"wall_time_s": 0.0, **kwargs}))
         else:
             raise ValueError(f"unknown format {fmt!r}")

@@ -14,7 +14,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GroupedMatrix, NoiseModel, SparsityBudget, stream
+from .core import (
+    GroupedMatrix,
+    NoiseModel,
+    SparsityBudget,
+    float_text,
+    stream,
+    text_float,
+)
 
 __all__ = [
     "Constant",
@@ -193,7 +200,7 @@ def save_matrix_csv(path, array: np.ndarray) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"# rows={arr.shape[0]} cols={arr.shape[1]}\n")
         for row in arr:
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+            fh.write(",".join(float_text(v) for v in row) + "\n")
 
 
 def load_matrix_csv(path) -> np.ndarray:
@@ -203,7 +210,11 @@ def load_matrix_csv(path) -> np.ndarray:
             raise ValueError(f"{path}: missing shape header")
         parts = dict(p.split("=") for p in header[2:].split())
         rows, cols = int(parts["rows"]), int(parts["cols"])
-        data = [[float(v) for v in line.strip().split(",")] for line in fh if line.strip()]
+        data = [
+            [text_float(v) for v in line.strip().split(",")]
+            for line in fh
+            if line.strip()
+        ]
     arr = np.array(data)
     if arr.shape != (rows, cols):
         raise ValueError(f"{path}: header says {(rows, cols)}, data is {arr.shape}")

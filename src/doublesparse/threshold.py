@@ -13,6 +13,7 @@ fast path, including tie handling.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -35,13 +36,19 @@ class ThresholdOutcome:
     ``selected_columns`` is the column index set passing the column condition,
     ``row_cut`` the largest admissible order-statistic rank (0 when no row
     qualifies, the full depth d for the row-condition-free variant), and
-    ``active_set`` the index pairs the output keeps.
+    ``active_mask`` the d x m boolean mask of the entries the output keeps.
     """
 
     result: GroupedMatrix
     selected_columns: frozenset
     row_cut: int
-    active_set: SupportSet
+    active_mask: np.ndarray
+
+    @cached_property
+    def active_set(self) -> SupportSet:
+        """The index pairs the output keeps, built on first access."""
+        rows, cols = np.nonzero(self.active_mask)
+        return SupportSet(frozenset(zip(rows.tolist(), cols.tolist())))
 
 
 def step1_entrywise(U: GroupedMatrix, lam: float) -> GroupedMatrix:
@@ -85,10 +92,9 @@ def _matrix_stage(
     active = (A > cut) & selected[None, :]
 
     result = GroupedMatrix(np.where(active, V, 0.0))
-    rows, cols = np.nonzero(active)
-    active_set = SupportSet(frozenset(zip(rows.tolist(), cols.tolist())))
+    active.flags.writeable = False
     sel_cols = frozenset(np.nonzero(selected)[0].tolist())
-    return ThresholdOutcome(result, sel_cols, i_max, active_set)
+    return ThresholdOutcome(result, sel_cols, i_max, active)
 
 
 def step2_matrix(U: GroupedMatrix, lam: float, s: int, s0: int) -> ThresholdOutcome:

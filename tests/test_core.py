@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from doublesparse.core import (
     GroupedMatrix,
@@ -14,6 +15,8 @@ from doublesparse.core import (
     support_of,
     vec_to_matrix,
 )
+
+from float_cases import EDGE_FLOATS, same_bits
 
 
 def test_vec_matrix_round_trip_bit_exact():
@@ -138,3 +141,12 @@ def test_stream_determinism_and_separation():
     c = stream(7, 2, 1).normal(size=5)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 6), st.integers(1, 6), st.data())
+def test_vec_matrix_round_trip_bits(m, d, data):
+    beta = np.array(data.draw(st.lists(EDGE_FLOATS, min_size=m * d, max_size=m * d)))
+    theta = vec_to_matrix(beta, m, d)
+    assert same_bits(matrix_to_vec(theta), beta)
+    assert same_bits(matrix_to_vec(vec_to_matrix(matrix_to_vec(theta), m, d)), beta)

@@ -3,6 +3,7 @@ from itertools import combinations, product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from doublesparse.core import (
     GroupedMatrix,
@@ -303,3 +304,237 @@ def test_default_lambda0_zero_start_dominates_signal():
     lam0 = estimators.default_lambda0(X, Y, 2, 2)
     # ||X^T Y / n|| = ||beta|| = 2*sqrt(s*s0) here, so lam0 equals the magnitude
     assert lam0 == pytest.approx(2.0, rel=1e-12)
+
+
+def test_list_inputs_match_arrays():
+    rng = stream(21)
+    budget = SparsityBudget.hard(4, 3, 2, 1)
+    X = simulate.gen_design(30, 12, "gaussian_iid", rng)
+    Y = rng.normal(size=30)
+    beta0 = rng.normal(size=12)
+    schedule = ThresholdSchedule(2.0, 0.6, 0.2)
+    for solver, b in ((estimators.dsiht, budget),
+                      (estimators.dsiht_heterogeneous,
+                       SparsityBudget.heterogeneous(4, 3, 2, 2, s0=1))):
+        for start in (None, beta0):
+            want, trace = solver(X, Y, b, schedule, beta0=start, truth=beta0)
+            got, trace_l = solver(
+                X.tolist(), Y.tolist(), b, schedule,
+                beta0=None if start is None else start.tolist(),
+                truth=beta0.tolist(),
+            )
+            assert np.array_equal(got, want)
+            assert trace_l.errors == trace.errors
+
+
+@pytest.mark.parametrize(
+    "name, bad",
+    [
+        ("X", lambda X, Y, b: (X[:, 0], Y, b)),
+        ("X", lambda X, Y, b: (X[:, :-1], Y, b)),
+        ("Y", lambda X, Y, b: (X, Y[:, None], b)),
+        ("Y", lambda X, Y, b: (X, Y[:-1], b)),
+        ("beta0", lambda X, Y, b: (X, Y, b[None, :])),
+    ],
+)
+def test_bad_shapes_name_the_argument(name, bad):
+    rng = stream(22)
+    budget = SparsityBudget.hard(4, 4, 1, 1)
+    X = simulate.gen_design(12, 16, "gaussian_iid", rng)
+    X, Y, beta0 = bad(X, rng.normal(size=12), np.zeros(16))
+    with pytest.raises(ValueError, match=f"^{name} must"):
+        estimators.dsiht(X, Y, budget, ThresholdSchedule(1.0, 0.5, 0.5), beta0=beta0)
+
+
+def test_bad_truth_shape_names_truth():
+    rng = stream(23)
+    budget = SparsityBudget.hard(4, 4, 1, 1)
+    X = simulate.gen_design(12, 16, "gaussian_iid", rng)
+    with pytest.raises(ValueError, match="^truth must"):
+        estimators.dsiht(X, rng.normal(size=12), budget,
+                         ThresholdSchedule(1.0, 0.5, 0.5), truth=np.zeros((4, 4)))
+
+
+def _bits(a):
+    return np.asarray(a, dtype=float).tobytes()
+
+
+def reference_dsiht(X, Y, budget, schedule, beta0, truth):
+    """Textbook DSIHT with its full trace: every step recomputes the gradient
+    step beta + X^T (Y - X beta) / n from the current iterate.
+
+    X beta is written as the solver rounds it: the dense product for the
+    start, the product over the support for a threshold output (the two
+    differ in the last bits)."""
+    het = budget.mode == "heterogeneous"
+    operator = threshold.apply_heterogeneous if het else threshold.apply
+    constant = (estimators.HETEROGENEOUS_CONTRACTION_CONSTANT if het
+                else estimators.HARD_CONTRACTION_CONSTANT)
+    n = X.shape[0]
+    tr = {"betas": [], "lambdas": [], "errors": [], "excess_sizes": [],
+          "excess_admissible": [], "bound_held": []}
+
+    def record(beta, lam):
+        tr["betas"].append(beta)
+        tr["lambdas"].append(lam)
+        if truth is None:
+            return
+        err = float(np.linalg.norm(beta - truth))
+        tr["errors"].append(err)
+        excess = ((beta != 0) & (truth == 0)).reshape(budget.d, budget.m, order="F")
+        per_col = excess.sum(axis=0)
+        cols = int(np.count_nonzero(per_col))
+        tr["excess_sizes"].append(int(per_col.sum()))
+        if het:
+            tr["excess_admissible"].append(
+                cols <= budget.s and per_col.sum() <= budget.s_prime)
+        else:
+            tr["excess_admissible"].append(
+                cols <= budget.s and bool(np.all(per_col <= budget.s0)))
+        tr["bound_held"].append(
+            err <= constant * math.sqrt(budget.s * budget.s0) * lam)
+
+    beta = np.zeros(budget.p) if beta0 is None else beta0
+    lam = schedule.lambda0
+    record(beta, lam)
+    fit = X @ beta
+    while lam >= schedule.lambda_inf:
+        U = vec_to_matrix(beta + X.T @ (Y - fit) / n, budget.m, budget.d)
+        beta = matrix_to_vec(operator(U, lam, budget).result)
+        nz = np.flatnonzero(beta)
+        fit = X[:, nz] @ beta[nz]
+        lam = lam * math.sqrt(schedule.kappa)
+        record(beta, lam)
+    return tr
+
+
+@st.composite
+def solve_cases(draw):
+    """A small regression problem, a schedule whose lambda0 may sit far above
+    the signal (a long zero phase), a start (default, +0.0, -0.0 or dense with
+    -0.0 entries), with or without the truth, for either solver."""
+    m, d = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    s, s0 = draw(st.integers(1, m)), draw(st.integers(1, d))
+    # n >= p keeps the unit-step iteration from diverging
+    n = draw(st.integers(m * d, 3 * m * d + 4))
+    rng = stream(draw(st.integers(0, 2**32 - 1)))
+    hard = SparsityBudget.hard(m, d, s, s0)
+    magnitude = draw(st.sampled_from([0.3, 1.0, 3.0]))
+    spec = simulate.SignalSpec(hard, simulate.Constant(magnitude), sign="random")
+    truth = matrix_to_vec(simulate.gen_signal(spec, rng))
+    X = simulate.gen_design(n, m * d, "gaussian_iid", rng)
+    sigma = draw(st.sampled_from([0.0, 0.5]))
+    Y = simulate.gen_regression(X, truth, NoiseModel(sigma, n), rng)
+    lam0 = estimators.default_lambda0(X, Y, s, s0)
+    lam0 *= draw(st.sampled_from([1.0, 4.0, 30.0]))
+    kappa = draw(st.sampled_from([0.5, 0.8]))
+    lam_inf = lam0 * draw(st.sampled_from([0.01, 0.05, 0.3]))
+    schedule = ThresholdSchedule(lam0, kappa, lam_inf)
+    start = draw(st.sampled_from(["default", "zero", "negzero", "dense"]))
+    beta0 = {
+        "default": None,
+        "zero": np.zeros(m * d),
+        "negzero": np.full(m * d, -0.0),
+        "dense": np.where(rng.random(m * d) < 0.3, -0.0, rng.normal(size=m * d)),
+    }[start]
+    if draw(st.booleans()):
+        s_prime = draw(st.integers(1, s * d))
+        budget = SparsityBudget.heterogeneous(m, d, s, s_prime, s0=s0)
+    else:
+        budget = hard
+    return X, Y, budget, schedule, beta0, truth if draw(st.booleans()) else None
+
+
+def _leading_zero_steps(betas):
+    return next((t for t, b in enumerate(betas[1:]) if np.any(b)), len(betas) - 1)
+
+
+def test_gradient_reuse_matches_reference_loop():
+    seen = set()
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(solve_cases())
+    def check(case):
+        X, Y, budget, schedule, beta0, truth = case
+        solver = (estimators.dsiht_heterogeneous if budget.mode == "heterogeneous"
+                  else estimators.dsiht)
+        beta_hat, trace = solver(X, Y, budget, schedule, beta0=beta0, truth=truth)
+        ref = reference_dsiht(X, Y, budget, schedule, beta0, truth)
+
+        assert [_bits(b) for b in trace.betas] == [_bits(b) for b in ref["betas"]]
+        assert _bits(trace.lambdas) == _bits(ref["lambdas"])
+        assert _bits(beta_hat) == _bits(ref["betas"][-2])
+        if truth is None:
+            assert trace.errors is None and trace.bound_held is None
+        else:
+            assert _bits(trace.errors) == _bits(ref["errors"])
+            for key in ("excess_sizes", "excess_admissible", "bound_held"):
+                assert getattr(trace, key) == ref[key], key
+            seen.add("truth")
+
+        steps = [_bits(b) for b in trace.betas[:-1]]
+        if _leading_zero_steps(trace.betas) >= 5:
+            seen.add("long zero phase")
+        if any(a == b and any(np.frombuffer(a)) for a, b in zip(steps, steps[1:])):
+            seen.add("nonzero iterate stands still")
+        seen.add(budget.mode)
+        if beta0 is not None and np.any(beta0) and np.signbit(beta0).any():
+            seen.add("dense start with -0.0")
+
+    check()
+    assert seen == {"truth", "long zero phase", "nonzero iterate stands still",
+                    "hard", "heterogeneous", "dense start with -0.0"}
+
+
+class CountingDesign(np.ndarray):
+    """An ndarray that logs the result shape of every np.matmul it enters."""
+
+    log: list = []
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        inputs = tuple(
+            x.view(np.ndarray) if isinstance(x, CountingDesign) else x
+            for x in inputs
+        )
+        result = getattr(ufunc, method)(*inputs, **kwargs)
+        if ufunc is np.matmul:
+            CountingDesign.log.append(np.shape(result))
+        return result
+
+
+@pytest.mark.parametrize("solver", ["dsiht", "dsiht_heterogeneous"])
+@pytest.mark.parametrize("start", ["default", "negzero", "dense"])
+def test_one_backward_product_per_distinct_iterate(solver, start):
+    rng = stream(24)
+    n, m, d, s, s0 = 60, 8, 5, 2, 2
+    hard = SparsityBudget.hard(m, d, s, s0)
+    spec = simulate.SignalSpec(hard, simulate.Constant(1.0), sign="random")
+    truth = matrix_to_vec(simulate.gen_signal(spec, rng))
+    X = simulate.gen_design(n, m * d, "gaussian_iid", rng)
+    Y = simulate.gen_regression(X, truth, NoiseModel(0.3, n), rng)
+    # lambda0 far above the signal: a zero phase of several iterations
+    lam0 = 10 * estimators.default_lambda0(X, Y, s, s0)
+    schedule = ThresholdSchedule(lam0, 0.7, 0.05)
+    if solver == "dsiht":
+        budget = hard
+    else:
+        budget = SparsityBudget.heterogeneous(m, d, s, s * s0, s0=s0)
+    beta0 = {"default": None, "negzero": np.full(m * d, -0.0),
+             "dense": rng.normal(size=m * d)}[start]
+
+    CountingDesign.log = []
+    _, trace = getattr(estimators, solver)(
+        X.view(CountingDesign), Y, budget, schedule, beta0=beta0
+    )
+    backward = CountingDesign.log.count((m * d,))
+    forward = CountingDesign.log.count((n,))
+    assert backward + forward == len(CountingDesign.log)
+
+    # a gradient step is taken at beta_0 .. beta_{T-1}; a run of bit-equal
+    # iterates is one distinct iterate (-0.0 and +0.0 are distinct)
+    steps = [_bits(b) for b in trace.betas]
+    changes = [a != b for a, b in zip(steps, steps[1:])]
+    assert backward == 1 + sum(changes[:-1]) < trace.iterations
+    assert changes[0] == (start != "default")
+    # a forward product for every change, plus the dense start's
+    assert forward == sum(changes) + (start == "dense")

@@ -1,12 +1,18 @@
 import json
 import subprocess
 import sys
+import tempfile
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from doublesparse import harness
 from doublesparse.harness import Cell, emit, read_records, run_cell, run_sweep
+
+from float_cases import EDGE_FLOATS, same_bits
 
 
 def small_grid():
@@ -192,3 +198,42 @@ def test_cli_dsrip_and_packing(tmp_path):
     assert proc2.returncode == 0
     assert json.loads(proc2.stdout)["min_pairwise_hamming"] >= 1
     assert out.exists()
+
+
+FLOAT_FIELDS = ("sigma", "kappa", "sq_error", "rate_value")
+OPTIONAL_FLOAT_FIELDS = ("q", "rq", "lambda0", "lambda_inf")
+
+
+@st.composite
+def records(draw):
+    floats = {f: draw(EDGE_FLOATS) for f in FLOAT_FIELDS}
+    optional = {f: draw(st.none() | EDGE_FLOATS) for f in OPTIONAL_FLOAT_FIELDS}
+    flags = {f: draw(st.sampled_from([None, True, False]))
+             for f in ("bound_flag", "excess_flag")}
+    return harness.ExperimentRecord(
+        estimator="dsiht", cell_index=draw(st.integers(0, 9)),
+        replicate=draw(st.integers(0, 99)), seed=draw(st.integers(0, 2**31)),
+        m=4, d=3, s=2, s0=1, n=50, design="gaussian_iid", iterations=7,
+        **floats, **optional, **flags,
+    )
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_emit_read_round_trip_bits(fmt):
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(st.lists(records(), min_size=1, max_size=4))
+    def check(recs):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / f"rec.{fmt}"
+            emit(recs, path, fmt=fmt)
+            back = read_records(path, fmt=fmt)
+        assert len(back) == len(recs)
+        no_floats = {f: None for f in FLOAT_FIELDS + OPTIONAL_FLOAT_FIELDS}
+        for a, b in zip(recs, back):
+            for f in no_floats:
+                x, y = getattr(a, f), getattr(b, f)
+                assert (x is None and y is None) or same_bits(x, y), f
+            # the other fields, compared without NaN != NaN in the way
+            assert replace(a, **no_floats) == replace(b, **no_floats)
+
+    check()

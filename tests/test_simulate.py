@@ -1,11 +1,15 @@
 import math
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import stats
+
+from float_cases import EDGE_FLOATS, same_bits
 
 from doublesparse.core import GroupedMatrix, NoiseModel, SparsityBudget, stream
 from doublesparse import simulate
@@ -158,3 +162,14 @@ def test_inadmissible_signal_raises_under_optimize():
     proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True)
     assert proc.returncode != 0
     assert "outside its hard-mode budget" in proc.stderr
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 5), st.integers(1, 5), st.data())
+def test_matrix_csv_round_trip_bits(rows, cols, data):
+    values = data.draw(st.lists(EDGE_FLOATS, min_size=rows * cols, max_size=rows * cols))
+    arr = np.array(values).reshape(rows, cols)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "mat.csv"
+        save_matrix_csv(path, arr)
+        assert same_bits(load_matrix_csv(path), arr)
