@@ -184,6 +184,7 @@ def sparse_eigen_constants(
 ):
     """Extreme singular values of support-restricted submatrices, scaled by
     1/sqrt(n), over the (doubled) budget class: pass s2 = 2s, s02 = 2s0."""
+    X = np.asarray(X, dtype=float)
     n = X.shape[0]
     report = dsrip(X, m, d, s2, s02, method=method, trials=trials, seed=seed)
     tau_u = math.sqrt(report.u_s / n)
@@ -204,6 +205,10 @@ def noise_event_stat(
     X = _checked_design(X, m, d, s, s0)
     xi = np.asarray(xi, dtype=float)
     n = X.shape[0]
+    if xi.shape != (n,):
+        raise ValueError(f"xi must have shape ({n},), got {xi.shape}")
+    if not np.all(np.isfinite(xi)):
+        raise ValueError("xi must be finite")
     xi_corr = (X.T @ xi / n).reshape((d, m), order="F")
     sq = xi_corr * xi_corr
     top_rows = np.sort(sq, axis=0)[::-1, :][:s0, :]

@@ -16,7 +16,6 @@ from . import diagnostics, threshold
 from .core import (
     GroupedMatrix,
     SparsityBudget,
-    SupportSet,
     excess_support,
     matrix_to_vec,
     support_of,
@@ -100,6 +99,8 @@ def default_lambda_inf(
 def default_lambda0(X: np.ndarray, Y: np.ndarray, s: int, s0: int) -> float:
     """Data-driven starting threshold ||X^T Y / n||_2 / sqrt(s*s0); with a
     zero start it upper-bounds the signal scale the error analysis needs."""
+    X = np.asarray(X, dtype=float)
+    Y = np.asarray(Y, dtype=float)
     n = X.shape[0]
     return float(np.linalg.norm(X.T @ Y / n) / math.sqrt(s * s0))
 

@@ -17,20 +17,13 @@ import json
 import math
 import sys
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields
+from itertools import repeat
 
 import numpy as np
 
 from . import bounds, diagnostics, estimators, simulate
-from .core import (
-    GroupedMatrix,
-    NoiseModel,
-    SparsityBudget,
-    float_text,
-    stream,
-    text_float,
-    vec_to_matrix,
-)
+from .core import NoiseModel, SparsityBudget, float_text, stream, text_float
 
 __all__ = [
     "Cell",
@@ -45,30 +38,6 @@ __all__ = [
 ]
 
 ESTIMATORS = ("dsiht", "dsiht_heterogeneous", "projection_glm", "iht_baseline")
-
-RECORD_FIELDS = [
-    "estimator",
-    "cell_index",
-    "replicate",
-    "seed",
-    "m",
-    "d",
-    "s",
-    "s0",
-    "n",
-    "sigma",
-    "q",
-    "rq",
-    "kappa",
-    "lambda0",
-    "lambda_inf",
-    "design",
-    "sq_error",
-    "iterations",
-    "bound_flag",
-    "excess_flag",
-    "rate_value",
-]
 
 _INT_FIELDS = {"cell_index", "replicate", "seed", "m", "d", "s", "s0", "n", "iterations"}
 _BOOL_FIELDS = {"bound_flag", "excess_flag"}
@@ -126,6 +95,10 @@ class ExperimentRecord:
     wall_time_s: float = 0.0
 
 
+# the serialized columns, in declaration order; wall time is opt-in
+RECORD_FIELDS = [f.name for f in fields(ExperimentRecord) if f.name != "wall_time_s"]
+
+
 @dataclass
 class SweepSummary:
     cells: list = field(default_factory=list)
@@ -141,28 +114,47 @@ def _cell_rate(cell: Cell) -> float:
     return bounds.rate_hard(cell.sigma, cell.n, cell.m, cell.d, cell.s, cell.s0).total
 
 
-def _resolve_lambda_inf(cell: Cell, magnitude: float) -> float:
-    if cell.lambda_inf is not None:
-        return cell.lambda_inf
+def _resolve_scale(cell: Cell) -> tuple:
+    """The replicate's (signal magnitude, lambda_inf); a value set on the
+    cell wins over its default."""
+    magnitude = cell.magnitude
     if cell.sigma > 0:
-        return estimators.default_lambda_inf(
+        lambda_inf = estimators.default_lambda_inf(
             cell.sigma, cell.n, cell.p, cell.d, cell.s, cell.s0
         )
-    # noiseless: stop one geometric step below the signal magnitude so the
-    # returned iterate is an exact fixed point
-    return 0.9 * cell.kappa * magnitude
+        if magnitude is None:
+            # signals clear the final threshold; separates estimation error
+            # from detection failure
+            magnitude = 3.0 * lambda_inf
+    else:
+        if magnitude is None:
+            magnitude = 1.0
+        # noiseless: stop one geometric step below the signal magnitude so the
+        # returned iterate is an exact fixed point
+        lambda_inf = 0.9 * cell.kappa * magnitude
+    return magnitude, lambda_inf if cell.lambda_inf is None else cell.lambda_inf
 
 
-def _resolve_magnitude(cell: Cell) -> float:
-    if cell.magnitude is not None:
-        return cell.magnitude
-    if cell.sigma > 0:
-        # signals clear the final threshold; separates estimation error from
-        # detection failure
-        return 3.0 * estimators.default_lambda_inf(
-            cell.sigma, cell.n, cell.p, cell.d, cell.s, cell.s0
-        )
-    return 1.0
+def _gen_design(cell: Cell, design: str, rng) -> np.ndarray:
+    # the identity design is scaled to the sqrt(n) column norms the solvers need
+    kind = "identity_scaled" if design == "identity" else design
+    return simulate.gen_design(cell.n, cell.p, kind, rng)
+
+
+def _draw(cell: Cell, design: str | None, magnitude: float, rng) -> tuple:
+    """One data set, in RNG order: a hard-budget signal theta* of constant
+    ``magnitude`` and random signs, then, for ``design=None``, the location
+    observation theta* + noise, else the design X and the regression response.
+    Returns (theta*, X or None, response)."""
+    budget = SparsityBudget.hard(cell.m, cell.d, cell.s, cell.s0)
+    spec = simulate.SignalSpec(budget, simulate.Constant(magnitude), sign="random")
+    theta_star = simulate.gen_signal(spec, rng)
+    noise = NoiseModel(cell.sigma, cell.n)
+    if design is None:
+        return theta_star, None, simulate.gen_glm(theta_star, noise, rng)
+    X = _gen_design(cell, design, rng)
+    beta_star = theta_star.values.reshape(-1, order="F")
+    return theta_star, X, simulate.gen_regression(X, beta_star, noise, rng)
 
 
 def run_one(cell: Cell, cell_index: int, replicate: int, estimator: str, seed: int):
@@ -174,35 +166,26 @@ def run_one(cell: Cell, cell_index: int, replicate: int, estimator: str, seed: i
             "q/rq describe a soft (l_q-ball) signal class, but replicates draw "
             "hard-sparse signals only; soft-signal replicates are not supported"
         )
-    design = cell.design or (
-        "identity" if estimator == "projection_glm" else "gaussian_iid"
-    )
-    if estimator == "projection_glm" and design != "identity":
+    glm = estimator == "projection_glm"
+    design = cell.design or ("identity" if glm else "gaussian_iid")
+    if glm and design != "identity":
         raise ValueError(
             "projection_glm estimates a location model; only the identity "
             f"design is compatible, got {design!r}"
         )
     rng = stream(seed, cell_index, replicate)
     start = time.perf_counter()
-    magnitude = _resolve_magnitude(cell)
+    magnitude, lambda_inf = _resolve_scale(cell)
+    theta_star, X, Y = _draw(cell, None if glm else design, magnitude, rng)
+    lambda0 = bound_flag = excess_flag = None
 
-    budget = SparsityBudget.hard(cell.m, cell.d, cell.s, cell.s0)
-    spec = simulate.SignalSpec(budget, simulate.Constant(magnitude), sign="random")
-    theta_star = simulate.gen_signal(spec, rng)
-    lambda0 = lambda_inf = bound_flag = excess_flag = None
-
-    if estimator == "projection_glm":
-        Y = simulate.gen_glm(theta_star, NoiseModel(cell.sigma, cell.n), rng)
+    if glm:
+        lambda_inf = None
         theta_hat = estimators.project_double_sparse(Y, cell.s, cell.s0)
         sq_error = float(np.sum((theta_hat.values - theta_star.values) ** 2))
         iterations = 1
     else:
         beta_star = theta_star.values.reshape(-1, order="F")
-        kind = "identity_scaled" if design == "identity" else design
-        X = simulate.gen_design(cell.n, cell.p, kind, rng)
-        Y = simulate.gen_regression(X, beta_star, NoiseModel(cell.sigma, cell.n), rng)
-
-        lambda_inf = _resolve_lambda_inf(cell, magnitude)
         lambda0 = cell.lambda0
         if lambda0 is None:
             lambda0 = max(
@@ -218,6 +201,8 @@ def run_one(cell: Cell, cell_index: int, replicate: int, estimator: str, seed: i
                 budget = SparsityBudget.heterogeneous(
                     cell.m, cell.d, cell.s, cell.s * cell.s0, s0=cell.s0
                 )
+            else:
+                budget = SparsityBudget.hard(cell.m, cell.d, cell.s, cell.s0)
             # looked up at call time, so a wrapper set on the module is used
             solver = getattr(estimators, estimator)
             beta_hat, trace = solver(X, Y, budget, schedule, truth=beta_star)
@@ -247,11 +232,6 @@ def run_cell(
     ]
 
 
-def _worker(args):
-    cell, cell_index, replicate, estimator, seed = args
-    return run_one(cell, cell_index, replicate, estimator, seed)
-
-
 def run_sweep(
     grid: list,
     replicates: int,
@@ -265,17 +245,16 @@ def run_sweep(
     replicate) regardless of ``jobs``. The log-log slope of mean error
     against the rate-formula value needs at least 3 distinct rate values.
     """
-    tasks = [
-        (cell, ci, r, estimator, seed)
-        for ci, cell in enumerate(grid)
-        for r in range(replicates)
-    ]
+    cells = [cell for cell in grid for _ in range(replicates)]
+    indices = [ci for ci in range(len(grid)) for _ in range(replicates)]
+    reps = list(range(replicates)) * len(grid)
+    # run_one is looked up at call time, so a wrapper set on the module is used
+    args = (cells, indices, reps, repeat(estimator), repeat(seed))
     if jobs <= 1:
-        records = [_worker(t) for t in tasks]
+        records = list(map(run_one, *args))
     else:
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            records = list(pool.map(_worker, tasks, chunksize=8))
-    records.sort(key=lambda rec: (rec.cell_index, rec.replicate))
+            records = list(pool.map(run_one, *args, chunksize=8))
     return records, summarize(grid, records)
 
 
@@ -405,12 +384,12 @@ def read_records(path, fmt: str = "csv") -> list:
 # command-line interface
 
 
-def _parse_int_list(text: str):
-    return [int(v) for v in text.split(",")]
-
-
-def _parse_float_list(text: str):
-    return [float(v) for v in text.split(",")]
+def _list_of(kind):
+    """argparse type of a comma-separated list of ``kind`` values."""
+    def parse(text: str) -> list:
+        return [kind(v) for v in text.split(",")]
+    parse.__name__ = f"{kind.__name__} list"
+    return parse
 
 
 def _config_flags(argv) -> list:
@@ -436,12 +415,13 @@ def _config_flags(argv) -> list:
 
 def _add_common(parser):
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--m", default="8")
-    parser.add_argument("--d", default="8")
-    parser.add_argument("--s", default="2")
-    parser.add_argument("--s0", default="2")
-    parser.add_argument("--n", default="100")
-    parser.add_argument("--sigma", default="1.0")
+    parser.add_argument("--m", type=int, default=8)
+    parser.add_argument("--d", type=int, default=8)
+    # lists span a sweep's grid; the other subcommands take one value
+    parser.add_argument("--s", type=_list_of(int), default="2")
+    parser.add_argument("--s0", type=_list_of(int), default="2")
+    parser.add_argument("--n", type=_list_of(int), default="100")
+    parser.add_argument("--sigma", type=_list_of(float), default="1.0")
     parser.add_argument("--q", type=float, default=None)
     parser.add_argument("--rq", type=float, default=None)
     parser.add_argument("--kappa", type=float, default=0.8)
@@ -466,16 +446,12 @@ def _build_parser():
     gen.add_argument("--out", required=True, help="output file prefix")
 
     solve = sub.add_parser("solve", help="run one estimator and print the trace")
-    _add_common(solve)
-    solve.add_argument("--estimator", choices=ESTIMATORS, default="dsiht")
-    solve.add_argument("--design", choices=("identity", "gaussian_iid"), default=None)
-    solve.add_argument("--magnitude", type=float, default=None)
-
     sweep = sub.add_parser("sweep", help="Monte-Carlo grid run")
-    _add_common(sweep)
-    sweep.add_argument("--estimator", choices=ESTIMATORS, default="dsiht")
-    sweep.add_argument("--design", choices=("identity", "gaussian_iid"), default=None)
-    sweep.add_argument("--magnitude", type=float, default=None)
+    for run in (solve, sweep):
+        _add_common(run)
+        run.add_argument("--estimator", choices=ESTIMATORS, default="dsiht")
+        run.add_argument("--design", choices=("identity", "gaussian_iid"), default=None)
+        run.add_argument("--magnitude", type=float, default=None)
     sweep.add_argument("--replicates", type=int, default=10)
     sweep.add_argument("--jobs", type=int, default=1)
     sweep.add_argument("--out", default=None)
@@ -499,58 +475,40 @@ def _build_parser():
     return parser
 
 
-def _single(values, flag):
-    out = _parse_float_list(str(values)) if flag in ("sigma",) else _parse_int_list(str(values))
-    if len(out) != 1:
-        raise ValueError(f"--{flag} takes a single value for this subcommand")
-    return out[0]
-
-
-def _cell_from_args(args, design=None, magnitude=None) -> Cell:
-    return Cell(
-        m=_single(args.m, "m"), d=_single(args.d, "d"), s=_single(args.s, "s"),
-        s0=_single(args.s0, "s0"), n=_single(args.n, "n"),
-        sigma=_single(args.sigma, "sigma"),
-        q=args.q, rq=args.rq, kappa=args.kappa,
-        lambda0=args.lambda0, lambda_inf=args.lambda_inf,
-        design=design, magnitude=magnitude,
-    )
-
-
 def _grid_from_args(args, design=None, magnitude=None) -> list:
-    base = dict(
-        q=args.q, rq=args.rq, kappa=args.kappa,
-        lambda0=args.lambda0, lambda_inf=args.lambda_inf,
-        design=design, magnitude=magnitude,
-    )
-    cells = []
-    for n in _parse_int_list(str(args.n)):
-        for s in _parse_int_list(str(args.s)):
-            for s0 in _parse_int_list(str(args.s0)):
-                for sigma in _parse_float_list(str(args.sigma)):
-                    cells.append(Cell(
-                        m=_single(args.m, "m"), d=_single(args.d, "d"),
-                        s=s, s0=s0, n=n, sigma=sigma, **base,
-                    ))
-    return cells
+    return [
+        Cell(
+            m=args.m, d=args.d, s=s, s0=s0, n=n, sigma=sigma,
+            q=args.q, rq=args.rq, kappa=args.kappa,
+            lambda0=args.lambda0, lambda_inf=args.lambda_inf,
+            design=design, magnitude=magnitude,
+        )
+        for n in args.n
+        for s in args.s
+        for s0 in args.s0
+        for sigma in args.sigma
+    ]
+
+
+def _one_cell(args, design=None, magnitude=None) -> Cell:
+    """The only cell of the grid, for the subcommands that run one cell; a
+    list flag with more than one value is an error."""
+    for flag in ("s", "s0", "n", "sigma"):
+        if len(getattr(args, flag)) != 1:
+            raise ValueError(f"--{flag} takes a single value for this subcommand")
+    (cell,) = _grid_from_args(args, design, magnitude)
+    return cell
 
 
 def _cmd_generate(args):
-    cell = _cell_from_args(args, design=args.design, magnitude=args.magnitude)
-    rng = stream(args.seed)
-    budget = SparsityBudget.hard(cell.m, cell.d, cell.s, cell.s0)
-    spec = simulate.SignalSpec(budget, simulate.Constant(args.magnitude), sign="random")
-    theta_star = simulate.gen_signal(spec, rng)
+    cell = _one_cell(args)
+    design = args.design if args.model == "regression" else None
+    theta_star, X, y = _draw(cell, design, args.magnitude, stream(args.seed))
     simulate.save_matrix_csv(f"{args.out}_theta.csv", theta_star.values)
-    if args.model == "glm":
-        Y = simulate.gen_glm(theta_star, NoiseModel(cell.sigma, cell.n), rng)
-        simulate.save_matrix_csv(f"{args.out}_y.csv", Y.values)
+    if X is None:
+        simulate.save_matrix_csv(f"{args.out}_y.csv", y.values)
         print(f"wrote {args.out}_theta.csv and {args.out}_y.csv")
     else:
-        kind = "identity_scaled" if args.design == "identity" else args.design
-        X = simulate.gen_design(cell.n, cell.p, kind, rng)
-        beta = theta_star.values.reshape(-1, order="F")
-        y = simulate.gen_regression(X, beta, NoiseModel(cell.sigma, cell.n), rng)
         simulate.save_matrix_csv(f"{args.out}_X.csv", X)
         simulate.save_matrix_csv(f"{args.out}_y.csv", y[None, :])
         print(f"wrote {args.out}_theta.csv, {args.out}_X.csv, {args.out}_y.csv")
@@ -558,7 +516,7 @@ def _cmd_generate(args):
 
 
 def _cmd_solve(args):
-    cell = _cell_from_args(args, design=args.design, magnitude=args.magnitude)
+    cell = _one_cell(args, design=args.design, magnitude=args.magnitude)
     record = run_one(cell, 0, 0, args.estimator, args.seed)
     print(json.dumps({f: getattr(record, f) for f in RECORD_FIELDS}, indent=2))
     return 0
@@ -580,9 +538,8 @@ def _cmd_sweep(args):
 
 
 def _cmd_dsrip(args):
-    cell = _cell_from_args(args)
-    kind = "identity_scaled" if args.design == "identity" else args.design
-    X = simulate.gen_design(cell.n, cell.p, kind, stream(args.seed))
+    cell = _one_cell(args)
+    X = _gen_design(cell, args.design, stream(args.seed))
     report = diagnostics.dsrip(
         X, cell.m, cell.d, cell.s, cell.s0,
         method=args.method,
@@ -594,7 +551,7 @@ def _cmd_dsrip(args):
 
 
 def _cmd_packing(args):
-    cell = _cell_from_args(args)
+    cell = _one_cell(args)
     packing = bounds.build_khatri_rao_packing(
         cell.m, cell.d, cell.s, cell.s0, magnitude=args.magnitude
     )
@@ -614,7 +571,7 @@ def _cmd_packing(args):
 
 
 def _cmd_rates(args):
-    cell = _cell_from_args(args)
+    cell = _one_cell(args)
     out = {"hard": asdict(bounds.rate_hard(
         cell.sigma, cell.n, cell.m, cell.d, cell.s, cell.s0))}
     if args.q is not None and args.rq is not None:
@@ -649,12 +606,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     try:
-        handler = _COMMANDS[args.command]
-    except KeyError:
-        print(f"unknown command {args.command!r}", file=sys.stderr)
-        return 1
-    try:
-        return handler(args)
+        return _COMMANDS[args.command](args)
     except (ValueError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -54,6 +54,12 @@ def test_tau_identity():
     assert abs((1 - (tau_l / tau_u) ** 2) - rep.delta_s) <= 1e-10
 
 
+def test_sparse_eigen_constants_list_input_matches_array():
+    X = simulate.gen_design(40, 16, "gaussian_iid", stream(4))
+    want = diagnostics.sparse_eigen_constants(X, 4, 4, 2, 2)
+    assert diagnostics.sparse_eigen_constants(X.tolist(), 4, 4, 2, 2) == want
+
+
 def test_dsrip_guards():
     X = np.zeros((10, 12))
     with pytest.raises(ValueError):
@@ -226,3 +232,22 @@ def test_one_dimensional_design_rejected():
         diagnostics.dsrip(np.zeros(16), 4, 4, 1, 1)
     with pytest.raises(ValueError, match="^X must be a 2-d"):
         diagnostics.noise_event_stat(np.zeros(16), np.zeros(16), 4, 4, 1, 1)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_noise_stat_rejects_non_finite_xi(bad):
+    rng = stream(25)
+    X = simulate.gen_design(20, 16, "gaussian_iid", rng)
+    xi = rng.normal(size=20)
+    xi[5] = bad
+    with pytest.raises(ValueError, match="^xi must be finite"):
+        diagnostics.noise_event_stat(X, xi, 4, 4, 2, 2)
+
+
+@pytest.mark.parametrize(
+    "shape", [(19,), (21,), (20, 1), ()], ids=["short", "long", "column", "scalar"]
+)
+def test_noise_stat_rejects_xi_of_wrong_shape(shape):
+    X = simulate.gen_design(20, 16, "gaussian_iid", stream(26))
+    with pytest.raises(ValueError, match=r"^xi must have shape \(20,\)"):
+        diagnostics.noise_event_stat(X, np.ones(shape), 4, 4, 2, 2)

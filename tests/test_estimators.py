@@ -313,6 +313,8 @@ def test_list_inputs_match_arrays():
     Y = rng.normal(size=30)
     beta0 = rng.normal(size=12)
     schedule = ThresholdSchedule(2.0, 0.6, 0.2)
+    lam0 = estimators.default_lambda0(X, Y, 2, 1)
+    assert estimators.default_lambda0(X.tolist(), Y.tolist(), 2, 1) == lam0
     for solver, b in ((estimators.dsiht, budget),
                       (estimators.dsiht_heterogeneous,
                        SparsityBudget.heterogeneous(4, 3, 2, 2, s0=1))):

@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from doublesparse import harness
+from doublesparse import harness, simulate
+from doublesparse.core import NoiseModel, SparsityBudget, stream
 from doublesparse.harness import Cell, emit, read_records, run_cell, run_sweep
 
 from float_cases import EDGE_FLOATS, same_bits
@@ -60,6 +61,16 @@ def test_emit_round_trip_lossless(tmp_path):
             assert a.sq_error == b.sq_error  # bit-exact float round trip
             assert a.lambda0 == b.lambda0
             assert a.bound_flag == b.bound_flag
+
+
+def test_record_csv_header(tmp_path):
+    path = tmp_path / "rec.csv"
+    emit(run_cell(small_grid()[0], 1, "dsiht", seed=6), path)
+    assert path.read_text().splitlines()[0] == (
+        "estimator,cell_index,replicate,seed,m,d,s,s0,n,sigma,q,rq,kappa,"
+        "lambda0,lambda_inf,design,sq_error,iterations,bound_flag,excess_flag,"
+        "rate_value"
+    )
 
 
 def test_emit_include_timing(tmp_path):
@@ -185,6 +196,41 @@ def test_cli_generate(tmp_path):
     assert proc.returncode == 0
     assert (tmp_path / "data_theta.csv").exists()
     assert (tmp_path / "data_y.csv").exists()
+
+
+@pytest.mark.parametrize("design,kind", [
+    ("identity", "identity_scaled"), ("gaussian_iid", "gaussian_iid"),
+])
+def test_cli_generate_regression_matches_hand_draw(tmp_path, design, kind):
+    m, d, s, s0, n, sigma, magnitude, seed = 6, 5, 2, 2, 40, 0.7, 1.5, 19
+    prefix = tmp_path / "data"
+    proc = _cli("generate", "--model", "regression", "--design", design,
+                "--m", str(m), "--d", str(d), "--s", str(s), "--s0", str(s0),
+                "--n", str(n), "--sigma", str(sigma), "--magnitude", str(magnitude),
+                "--seed", str(seed), "--out", str(prefix))
+    assert proc.returncode == 0, proc.stderr
+    # signal, then design, then response, all from one stream
+    rng = stream(seed)
+    budget = SparsityBudget.hard(m, d, s, s0)
+    spec = simulate.SignalSpec(budget, simulate.Constant(magnitude), sign="random")
+    theta = simulate.gen_signal(spec, rng).values
+    X = simulate.gen_design(n, m * d, kind, rng)
+    y = simulate.gen_regression(
+        X, theta.reshape(-1, order="F"), NoiseModel(sigma, n), rng
+    )
+    for suffix, want in (("theta", theta), ("X", X), ("y", y[None, :])):
+        got = simulate.load_matrix_csv(tmp_path / f"data_{suffix}.csv")
+        assert got.shape == want.shape, suffix
+        assert got.tobytes() == want.tobytes(), suffix
+
+
+@pytest.mark.parametrize("flag,value", [("--n", "50,100"), ("--m", "6,8")])
+def test_cli_solve_rejects_a_list(flag, value):
+    args = {"--m": "6", "--d": "6", "--s": "2", "--s0": "2", "--n": "50"}
+    args[flag] = value
+    proc = _cli("solve", *[x for kv in args.items() for x in kv])
+    assert proc.returncode == 1
+    assert flag in proc.stderr
 
 
 def test_cli_dsrip_and_packing(tmp_path):
