@@ -28,7 +28,8 @@ __all__ = [
 NOISE_EVENT_CONSTANT = 10.0
 
 _EXHAUSTIVE_GUARD = 10**5
-# bytes of gathered rows and Gram matrices per eigvalsh batch
+# working bytes per chunk of supports: gathered rows, Gram matrices, the
+# inertia-test stack and the chunk's column union with its Gram matrix
 _CHUNK_BYTES = 1 << 22
 _DEGENERATE_TOL = 1e-12
 
@@ -76,18 +77,96 @@ def _sample_support(rng, m, d, s, s0) -> np.ndarray:
     return (d * cols[:, None] + np.array(rows)).ravel()
 
 
+def _positive_definite(A) -> np.ndarray:
+    """Per matrix of the k x k x B stack ``A``, overwritten: whether LDL^T
+    elimination on its lower triangle, without pivoting, keeps every pivot
+    positive."""
+    k = A.shape[0]
+    with np.errstate(all="ignore"):  # a failed pivot may spread inf or nan
+        for j in range(k - 1):
+            A[j + 1:, j + 1:] -= A[j + 1:, j, None] * (A[j + 1:, j] / A[j, j])
+        return np.all(A[range(k), range(k)] > 0.0, axis=0)
+
+
+def _settled(XT, supports, u_s, l_s) -> np.ndarray:
+    """Per row of ``supports``: whether its Gram matrix, gathered from the
+    Gram matrix of the rows' column union, is certified by LDL^T inertia
+    tests to have lambda_max < u_s - M and, while l_s > 0, lambda_min >
+    l_s + M, and has a diagonal entry, a lower bound on lambda_max, above the
+    degeneracy tolerance plus M (M as in :func:`_extreme_eigs`). None is
+    settled when the union's Gram matrix costs more than the supports' own
+    (u^2 > count k^2)."""
+    count, k = supports.shape
+    union, local = np.unique(supports, return_inverse=True)
+    if union.size ** 2 > supports.size * k:
+        return np.zeros(count, dtype=bool)
+    local = np.ascontiguousarray(local.reshape(supports.shape).T)
+    XU = XT[union]
+    gram = XU @ XU.T
+    c2 = max(float(gram.diagonal().max()), u_s / k)
+    margin = 8.0 * k * (XT.shape[1] + k * k) * np.finfo(float).eps * c2
+    G = gram[local[:, None], local[None, :]]  # k x k x count
+    diag = np.arange(k)
+    # both tests on one stack; no support lowers l_s past its clamp at 0
+    A = np.concatenate([-G, G], axis=2)
+    A[diag, diag] += np.repeat([u_s - margin, -(l_s + margin)], count)
+    below, above = _positive_definite(A).reshape(2, count)
+    nondegenerate = G[diag, diag].max(axis=0) > _DEGENERATE_TOL + margin
+    return below & (above | (l_s == 0.0)) & nondegenerate
+
+
 def _extreme_eigs(X, idx):
-    """(u_s, l_s, degenerate) over the supports in the rows of ``idx``:
-    one stacked eigvalsh per chunk of Gram submatrices."""
+    """(u_s, l_s, degenerate) over the supports in the rows of ``idx``.
+
+    Supports run in chunks. The first chunk's supports are all
+    eigendecomposed, which seeds u_s and l_s. In each later chunk, the
+    supports that :func:`_settled` certifies cannot raise u_s, lower l_s or
+    count as degenerate are skipped; the rest get their rows gathered, their
+    own Gram matrix G formed and one stacked eigvalsh, exactly as if every
+    support were decomposed. Only those exact values move u_s, l_s and the
+    count, so the result is that of an eigvalsh on every support, bit for
+    bit. u_s only grows and l_s only shrinks, so certifying against the
+    running values is enough.
+
+    The margin M = 8 k (n + k^2) eps c^2 covers the sum of three errors,
+    each at most a few k (n + k^2) eps c^2, where c^2 is the larger of the
+    largest squared norm of a column in the chunk's union and u_s / k, so
+    that u_s <= k c^2:
+
+    - the certified matrix G~ and G are length-n dot products summed in two
+      orders, each entry within gamma_n |x_u| |x_v| <= gamma_n c^2 of the
+      exact one, so ||G~ - G||_2 <= 2 gamma_n k c^2, about 2 n k eps c^2;
+    - eigvalsh is backward stable: each computed eigenvalue of G is within
+      p(k) eps ||G||_2 <= p(k) k eps c^2 of the true one, for a modestly
+      growing p(k), taken here as at most k^2;
+    - LDL^T elimination with positive pivots factors A + E exactly, with
+      ||E||_2 <= gamma_{k+1} tr(A) (Cauchy-Schwarz on |L||D||L^T|), and
+      tr(A) <= k u_s <= k^2 c^2 for A = (u_s - M) I - G~; forming A rounds
+      its diagonal by about k eps c^2 more.
+
+    The diagonal test needs only the first two: an eigvalsh top eigenvalue
+    is at least G's largest diagonal entry less both errors.
+    """
     XT = np.ascontiguousarray(X.T)
+    p, n = XT.shape
     k = idx.shape[1]
-    # a support's gathered k x n rows plus its k x k Gram matrix
-    chunk = max(1, _CHUNK_BYTES // (8 * k * (XT.shape[1] + k)))
+    # a support's gathered k x n rows and about six k x k matrices (Gram
+    # matrices, its share of the inertia-test stack and temporaries), plus
+    # the rows and Gram matrix of the chunk's column union, which is used
+    # only while it has at most k sqrt(chunk) columns
+    per_support = 8 * k * (n + 6 * k)
+    union_cap = min(p, k * math.isqrt(max(1, _CHUNK_BYTES // per_support)))
+    chunk = max(1, (_CHUNK_BYTES - 8 * union_cap * (n + union_cap)) // per_support)
     u_s = -math.inf
     l_s = math.inf
     degenerate = 0
     for start in range(0, idx.shape[0], chunk):
-        Xs = XT[idx[start:start + chunk]]
+        supports = idx[start:start + chunk]
+        if start:  # the first chunk seeds the thresholds
+            supports = supports[~_settled(XT, supports, u_s, l_s)]
+            if not supports.shape[0]:
+                continue
+        Xs = XT[supports]
         eigs = np.linalg.eigvalsh(Xs @ Xs.transpose(0, 2, 1))
         top = eigs[:, -1]
         degenerate += int(np.count_nonzero(top < _DEGENERATE_TOL))
@@ -132,11 +211,16 @@ def dsrip(
     supports. ``monte_carlo`` samples supports uniformly instead.
 
     Cost: with k = s*s0 and N supports (the enumerated count, or ``trials``),
-    O(N*k) index storage, then per support a k x n row gather, an
-    O(n*k^2) Gram product and an O(k^3) eigendecomposition. Supports are
-    processed in stacks of at most 4 MiB of gathered rows and Gram matrices,
-    one ``eigvalsh`` call per stack, so working memory beyond the index array
-    does not grow with N.
+    O(N*k) index storage. Supports are processed in chunks of about 4 MiB of
+    working arrays, so working memory beyond the index array does not grow
+    with N. A chunk whose column union has u <= k sqrt(chunk) columns, as in
+    exhaustive enumeration, costs one O(n*u^2) union Gram product and
+    O(k^3) per support for two LDL^T inertia tests; only the supports these
+    cannot settle, the ones that could move an extreme or be degenerate,
+    get the exact path: a k x n row gather, an O(n*k^2) Gram product and an
+    O(k^3) eigendecomposition, one stacked ``eigvalsh`` per chunk. The first
+    chunk, and every support of a chunk with a larger union (Monte-Carlo
+    supports over many columns), take the exact path.
     """
     X = _checked_design(X, m, d, s, s0)
     if method == "exhaustive":

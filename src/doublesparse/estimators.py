@@ -51,6 +51,11 @@ class ThresholdSchedule:
     lambda_inf: float
 
     def __post_init__(self):
+        # nan passes every comparison below, and an infinite lambda0 never
+        # decays to lambda_inf
+        for name in ("lambda0", "lambda_inf"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.lambda0 <= 0:
             raise ValueError("lambda0 must be positive")
         if not 0.0 < self.kappa < 1.0:

@@ -245,12 +245,16 @@ def run_sweep(
     replicate) regardless of ``jobs``. The log-log slope of mean error
     against the rate-formula value needs at least 3 distinct rate values.
     """
+    if replicates < 1:
+        raise ValueError(f"replicates must be at least 1, got {replicates}")
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     cells = [cell for cell in grid for _ in range(replicates)]
     indices = [ci for ci in range(len(grid)) for _ in range(replicates)]
     reps = list(range(replicates)) * len(grid)
     # run_one is looked up at call time, so a wrapper set on the module is used
     args = (cells, indices, reps, repeat(estimator), repeat(seed))
-    if jobs <= 1:
+    if jobs == 1:
         records = list(map(run_one, *args))
     else:
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:

@@ -1,8 +1,10 @@
 import math
 from itertools import combinations, product
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from doublesparse.core import NoiseModel, stream
 from doublesparse import diagnostics, simulate
@@ -195,6 +197,67 @@ def test_dsrip_matches_per_support_loop(monkeypatch, chunk_bytes, method):
         assert (rep.u_s, rep.l_s, rep.degenerate_supports) == (u_s, l_s, degenerate)
         delta = 1.0 - l_s / u_s if u_s > 1e-12 else 1.0
         assert rep.delta_s == min(max(delta, 0.0), 1.0)
+
+
+@st.composite
+def dsrip_cases(draw):
+    """A small grid and a design that stresses the certified skipping: exact
+    ties from integer entries, duplicated and all-zero columns, column scales
+    over six decades, supports whose Gram matrices are permutations of one
+    another, and n below the support size."""
+    m, d = draw(st.integers(1, 5)), draw(st.integers(1, 4))
+    s, s0 = draw(st.integers(1, min(m, 3))), draw(st.integers(1, min(d, 3)))
+    n, p = draw(st.integers(1, 14)), m * d
+    rng = stream(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(
+        ["gaussian", "quantized", "duplicated", "zero", "unnormalized"]
+    ))
+    X = simulate.gen_design(n, p, "gaussian_iid", rng)
+    if kind == "quantized":
+        X = np.round(2.0 * X)
+    elif kind == "duplicated":
+        X[:, rng.integers(p, size=max(1, p // 3))] = X[:, [rng.integers(p)]]
+    elif kind == "zero":
+        X[:, rng.random(p) < 0.4] = 0.0
+    elif kind == "unnormalized":
+        X *= 10.0 ** rng.uniform(-3.0, 3.0, size=p)
+    if draw(st.booleans()):  # every column group the same d columns, reordered
+        X = np.hstack([X[:, rng.permutation(d)] for _ in range(m)])
+    method = draw(st.sampled_from(["exhaustive", "monte_carlo"]))
+    trials, seed = draw(st.integers(1, 80)), draw(st.integers(0, 1000))
+    chunk_bytes = draw(st.sampled_from([1, 3000, 20000, diagnostics._CHUNK_BYTES]))
+    return m, d, s, s0, X, method, trials, seed, chunk_bytes
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(dsrip_cases())
+def test_dsrip_certified_skipping_matches_per_support_loop(case):
+    m, d, s, s0, X, method, trials, seed, chunk_bytes = case
+    with mock.patch.object(diagnostics, "_CHUNK_BYTES", chunk_bytes):
+        rep = diagnostics.dsrip(X, m, d, s, s0, method=method, trials=trials, seed=seed)
+    if method == "exhaustive":
+        supports = _supports_enumerated(m, d, s, s0)
+    else:
+        supports = _sampled_supports(seed, trials, m, d, s, s0)
+    assert (rep.u_s, rep.l_s, rep.degenerate_supports) == _extreme_eigs_loop(X, supports)
+
+
+def test_most_supports_skip_eigendecomposition(monkeypatch):
+    # (6,8,2,3) has 47 040 supports; on a Gaussian design nearly all of them
+    # are certified away from both extremes and never eigendecomposed
+    X = simulate.gen_design(100, 48, "gaussian_iid", stream(27))
+    eigvalsh = np.linalg.eigvalsh
+    decomposed = []
+    monkeypatch.setattr(
+        np.linalg, "eigvalsh", lambda a: decomposed.append(len(a)) or eigvalsh(a)
+    )
+    rep = diagnostics.dsrip(X, 6, 8, 2, 3)
+    assert 0 < sum(decomposed) <= 0.05 * 47040
+    monkeypatch.undo()
+    idx = diagnostics._support_indices(6, 8, 2, 3)
+    Xs = np.ascontiguousarray(X.T)[idx]
+    eigs = np.linalg.eigvalsh(Xs @ Xs.transpose(0, 2, 1))
+    assert (rep.u_s, rep.l_s) == (eigs[:, -1].max(), eigs[:, 0].min())
 
 
 @pytest.mark.parametrize("method", ["exhaustive", "monte_carlo"])

@@ -43,6 +43,16 @@ def test_schedule_geometry():
         ThresholdSchedule(1.0, 0.5, 0.0)
 
 
+@pytest.mark.parametrize("field", ["lambda0", "lambda_inf"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_schedule_rejects_non_finite(field, bad):
+    # nan would end a solve after 0 iterations and an infinite lambda0 would
+    # never decay, so the constructor refuses both
+    values = {"lambda0": 1.0, "kappa": 0.5, "lambda_inf": 0.1, field: bad}
+    with pytest.raises(ValueError, match=f"^{field} must be finite"):
+        ThresholdSchedule(**values)
+
+
 def test_iteration_count_matches_schedule_length():
     # number of gradient steps is the number of lambda values >= lambda_inf
     lam0, kappa, lam_inf = 1.0, 0.64, 0.3

@@ -233,6 +233,33 @@ def test_cli_solve_rejects_a_list(flag, value):
     assert flag in proc.stderr
 
 
+@pytest.mark.parametrize("arg,replicates,jobs", [
+    ("replicates", 0, 1), ("replicates", -2, 1), ("jobs", 3, 0), ("jobs", 3, -1),
+])
+def test_run_sweep_rejects_no_replicates_or_workers(arg, replicates, jobs):
+    with pytest.raises(ValueError, match=f"^{arg} must be at least 1"):
+        run_sweep(small_grid(), replicates, "dsiht", seed=1, jobs=jobs)
+
+
+CELL_FLAGS = ["--m", "6", "--d", "6", "--s", "2", "--s0", "2", "--sigma", "1.0"]
+
+
+@pytest.mark.parametrize("flag", ["--replicates", "--jobs"])
+def test_cli_sweep_rejects_zero_replicates_or_jobs(capsys, flag):
+    argv = ["sweep", *CELL_FLAGS, "--n", "50,100", "--replicates", "2", flag, "0"]
+    assert harness.main(argv) == 1
+    assert f"{flag[2:]} must be at least 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flag,field", [("--lambda0", "lambda0"), ("--lambda-inf", "lambda_inf")]
+)
+def test_cli_solve_rejects_non_finite_threshold(capsys, flag, field):
+    # nan, not inf: an unchecked infinite lambda0 would never stop iterating
+    assert harness.main(["solve", *CELL_FLAGS, "--n", "50", flag, "nan"]) == 1
+    assert f"{field} must be finite" in capsys.readouterr().err
+
+
 def test_cli_dsrip_and_packing(tmp_path):
     proc = _cli("dsrip", "--design", "identity", "--m", "4", "--d", "4",
                 "--s", "1", "--s0", "1", "--n", "16")
