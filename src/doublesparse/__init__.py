@@ -11,7 +11,9 @@ Modules:
     harness      Monte-Carlo sweeps, record serialization, the CLI
 """
 
-from . import bounds, core, diagnostics, estimators, harness, simulate, threshold
+import importlib
+
+from . import bounds, core, diagnostics, estimators, simulate, threshold
 from .core import (
     GroupedMatrix,
     NoiseModel,
@@ -58,7 +60,6 @@ from .diagnostics import (
     rec_slack,
     sparse_eigen_constants,
 )
-from .harness import Cell, ExperimentRecord, SweepSummary, emit, run_cell, run_sweep
 from .simulate import (
     Constant,
     LeastFavorable,
@@ -71,3 +72,14 @@ from .simulate import (
 )
 
 __version__ = "0.1.0"
+
+# harness is imported on first use, so that ``python -m doublesparse.harness``
+# runs it as __main__ without finding it already imported
+_HARNESS_NAMES = {"Cell", "ExperimentRecord", "SweepSummary", "emit", "run_cell", "run_sweep"}
+
+
+def __getattr__(name):
+    if name == "harness" or name in _HARNESS_NAMES:
+        harness = importlib.import_module(f"{__name__}.harness")
+        return harness if name == "harness" else getattr(harness, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

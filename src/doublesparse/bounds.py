@@ -187,7 +187,12 @@ def gv_qary_code(
 @dataclass
 class PackingSet:
     """A verified packing of double-sparse matrices over the alphabet
-    {0, magnitude}."""
+    {0, magnitude}.
+
+    ``elements`` are read-only views of one (len(elements), d, m) float
+    array, 8 d m bytes per element; holding any one element keeps that whole
+    array alive.
+    """
 
     elements: list
     min_pairwise_hamming: int
@@ -209,41 +214,42 @@ def _min_distance_exact(gamma_supports, codes, db, s0):
     """Exact minimum pairwise Hamming distance of the assembled packing,
     computed blockwise: within a column pattern via the code-distance table,
     across patterns via the per-column contribution plus the joint minimum
-    over shared column positions."""
-    n_gamma = len(gamma_supports)
+    over shared column positions.
+
+    Cost: the within-pattern table is one n_codes x n_codes integer array,
+    built from s gathers of ``db``. Pattern pairs are visited by increasing
+    per-column contribution ``base``; only pairs with ``base`` below the
+    running minimum and shared columns build a joint table.
+    """
     n_codes = codes.shape[0]
     best = math.inf
+    db = np.asarray(db, dtype=np.int32)  # distances are at most 2 s s0
 
-    if n_codes >= 2 and n_gamma >= 1:
-        dq = np.zeros((n_codes, n_codes), dtype=np.int64)
-        for t in range(codes.shape[1]):
-            dq += db[np.ix_(codes[:, t], codes[:, t])]
-        off = dq + np.diag(np.full(n_codes, np.iinfo(np.int64).max // 2))
-        best = int(off.min())
+    if n_codes >= 2 and len(gamma_supports):
+        dq = db[codes[:, 0]][:, codes[:, 0]]
+        for t in range(1, codes.shape[1]):
+            dq += db[codes[:, t]][:, codes[:, t]]
+        np.fill_diagonal(dq, np.iinfo(dq.dtype).max)
+        best = int(dq.min())
 
-    if n_gamma >= 2:
-        supports = [frozenset(np.nonzero(g)[0].tolist()) for g in gamma_supports]
-        positions = [sorted(sp) for sp in supports]
-        cross = []
-        for g in range(n_gamma):
-            for h in range(g + 1, n_gamma):
-                shared = supports[g] & supports[h]
-                base = s0 * (len(supports[g]) + len(supports[h]) - 2 * len(shared))
-                pairs = [
-                    (positions[g].index(c), positions[h].index(c)) for c in shared
-                ]
-                cross.append((base, pairs))
-        cross.sort(key=lambda item: item[0])
-        for base, pairs in cross:
-            if base >= best:
+    if len(gamma_supports) >= 2:
+        gamma = np.asarray(gamma_supports, dtype=np.int64)
+        # position of each column within its pattern's sorted support
+        position = np.cumsum(gamma, axis=1) - 1
+        weight = gamma.sum(axis=1)
+        g, h = np.triu_indices(len(gamma), 1)
+        shared = (gamma @ gamma.T)[g, h]
+        base = s0 * (weight[g] + weight[h] - 2 * shared)
+        for pair in np.argsort(base, kind="stable"):
+            if base[pair] >= best:
                 break
-            if not pairs:
-                best = min(best, base)
+            if not shared[pair]:
+                best = min(best, int(base[pair]))
                 continue
-            joint = np.zeros((n_codes, n_codes), dtype=np.int64)
-            for tg, th in pairs:
-                joint += db[np.ix_(codes[:, tg], codes[:, th])]
-            best = min(best, base + int(joint.min()))
+            cols = np.flatnonzero(gamma[g[pair]] & gamma[h[pair]])
+            in_g, in_h = position[g[pair], cols], position[h[pair], cols]
+            joint = sum(db[codes[:, a]][:, codes[:, b]] for a, b in zip(in_g, in_h))
+            best = min(best, int(base[pair]) + int(joint.min()))
     return best
 
 
@@ -258,6 +264,12 @@ def build_khatri_rao_packing(
     weight-s0 within-column packing at distance > ceil(s0/2)-1, and a q-ary
     content-assignment code at minimum distance ceil(s/2). Distance
     verification is exhaustive and exact; failure raises (construction bug).
+
+    Cost: with N = n_gamma * n_codes elements, one zero-filled (N, d, m)
+    float array (8 N d m bytes), filled one column pattern at a time and
+    then made read-only; each element wraps a view of it without a copy.
+    Verification holds one n_codes x n_codes integer table and the
+    n_gamma x n_gamma shared-column counts.
     """
     if magnitude <= 0:
         raise ValueError("magnitude must be positive")
@@ -280,13 +292,15 @@ def build_khatri_rao_packing(
         raise RuntimeError(f"greedy stage missed its counting bound: {checks}")
 
     # words[c][:, t] is the within-column word code c assigns to its t-th
-    # column; one (n_codes, d, m) block per column pattern bounds the memory
+    # column; each column pattern fills one (n_codes, d, m) block of a single
+    # read-only array, whose elements wrap views without a copy
     words = magnitude * b_words[codes].transpose(0, 2, 1)
-    elements = []
-    for g in gamma:
-        block = np.zeros((codes.shape[0], d, m))
+    values = np.zeros((gamma.shape[0], codes.shape[0], d, m))
+    for block, g in zip(values, gamma):
         block[:, :, np.nonzero(g)[0]] = words
-        elements.extend(GroupedMatrix(theta) for theta in block)
+    values = values.reshape(-1, d, m)
+    values.flags.writeable = False
+    elements = [GroupedMatrix._wrap(theta) for theta in values]
 
     # q x q distance table between within-column words (all weight s0)
     db = 2 * (s0 - b_words @ b_words.T).astype(np.int64)

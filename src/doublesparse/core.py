@@ -46,6 +46,14 @@ class GroupedMatrix:
         arr.flags.writeable = False
         object.__setattr__(self, "values", arr)
 
+    @classmethod
+    def _wrap(cls, arr: np.ndarray) -> "GroupedMatrix":
+        """An instance holding ``arr`` itself, unchecked and uncopied: only
+        for a read-only 2-d float array the package has just allocated."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "values", arr)
+        return self
+
     @property
     def rows(self) -> int:
         return self.values.shape[0]

@@ -77,6 +77,15 @@ def _sample_support(rng, m, d, s, s0) -> np.ndarray:
     return (d * cols[:, None] + np.array(rows)).ravel()
 
 
+def _union(supports, p):
+    """The sorted column union of the index array ``supports`` over p
+    columns, and each entry's position in it (``supports``' shape): what
+    ``np.unique(supports, return_inverse=True)`` gives, without a sort."""
+    present = np.zeros(p, dtype=bool)
+    present[supports] = True
+    return np.flatnonzero(present), (np.cumsum(present) - 1)[supports]
+
+
 def _positive_definite(A) -> np.ndarray:
     """Per matrix of the k x k x B stack ``A``, overwritten: whether LDL^T
     elimination on its lower triangle, without pivoting, keeps every pivot
@@ -97,10 +106,10 @@ def _settled(XT, supports, u_s, l_s) -> np.ndarray:
     settled when the union's Gram matrix costs more than the supports' own
     (u^2 > count k^2)."""
     count, k = supports.shape
-    union, local = np.unique(supports, return_inverse=True)
+    union, local = _union(supports, XT.shape[0])
     if union.size ** 2 > supports.size * k:
         return np.zeros(count, dtype=bool)
-    local = np.ascontiguousarray(local.reshape(supports.shape).T)
+    local = np.ascontiguousarray(local.T)
     XU = XT[union]
     gram = XU @ XU.T
     c2 = max(float(gram.diagonal().max()), u_s / k)
@@ -147,7 +156,12 @@ def _extreme_eigs(X, idx):
     The diagonal test needs only the first two: an eigvalsh top eigenvalue
     is at least G's largest diagonal entry less both errors.
     """
-    XT = np.ascontiguousarray(X.T)
+    rows = slice(None)
+    if idx.size < X.size:  # finding the union is cheaper than copying X
+        union, local = _union(idx, X.shape[1])
+        if union.size < X.shape[1]:  # copy only the rows of X^T in use
+            rows, idx = union, local
+    XT = np.ascontiguousarray(X.T[rows])
     p, n = XT.shape
     k = idx.shape[1]
     # a support's gathered k x n rows and about six k x k matrices (Gram
@@ -211,7 +225,9 @@ def dsrip(
     supports. ``monte_carlo`` samples supports uniformly instead.
 
     Cost: with k = s*s0 and N supports (the enumerated count, or ``trials``),
-    O(N*k) index storage. Supports are processed in chunks of about 4 MiB of
+    O(N*k) index storage and one copy of the rows of X^T the supports use
+    (all of them when N*k is at least the size of X, as in exhaustive
+    enumeration). Supports are processed in chunks of about 4 MiB of
     working arrays, so working memory beyond the index array does not grow
     with N. A chunk whose column union has u <= k sqrt(chunk) columns, as in
     exhaustive enumeration, costs one O(n*u^2) union Gram product and

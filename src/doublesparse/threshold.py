@@ -5,6 +5,10 @@ Stage 2 keeps columns whose squared mass reaches ``s0 * lam**2`` and prunes
 rows past the largest order-statistic index whose cross-column squared mass
 reaches ``s * lam**2``; the heterogeneous variant skips the row condition.
 
+The hard-mode operator is not a projection: applied to its own output it
+can remove more entries, because the row cut can lower a column's mass or
+move itself. ``estimators.project_double_sparse`` is the projection.
+
 ``literal_oracle`` re-implements the same definitions with plain Python
 loops and no vectorized shortcuts; it exists so tests can cross-check the
 fast path, including tie handling.

@@ -1,4 +1,5 @@
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -213,3 +214,80 @@ def test_packing_elements_match_per_element_loop(size):
     assert len(packing.elements) == len(expected)
     for element, theta in zip(packing.elements, expected):
         assert np.array_equal(element.values, theta)
+
+
+def _brute_force_distances(matrices):
+    values = np.reshape(matrices, (len(matrices), -1))
+    dist = np.count_nonzero(values[:, None, :] != values[None, :, :], axis=2)
+    np.fill_diagonal(dist, dist.max() + 1)
+    return dist
+
+
+@pytest.mark.parametrize(
+    "size,within,true_min",
+    [((5, 4, 3, 1), 4, 2), ((6, 4, 4, 1), 4, 2), ((7, 5, 3, 1), 4, 2), ((5, 5, 3, 2), 4, 4)],
+)
+def test_packing_min_distance_matches_brute_force(size, within, true_min):
+    # in the first three the minimum comes from two column patterns that
+    # share columns, below the minimum within any one pattern
+    packing = build_khatri_rao_packing(*size)
+    dist = _brute_force_distances([el.values for el in packing.elements])
+    pattern = np.arange(len(packing.elements)) // packing.stage_sizes["code"]
+    same = pattern[:, None] == pattern[None, :]
+    assert int(dist[same].min()) == within
+    assert int(dist.min()) == true_min == packing.min_pairwise_hamming
+
+
+def test_packing_elements_read_only():
+    packing = build_khatri_rao_packing(5, 4, 2, 2)
+    values = packing.elements[0].values
+    assert not values.flags.writeable
+    with pytest.raises(ValueError):
+        values[0, 0] = 1.0
+
+
+def _assembled_min_distance(gamma, codes, b_words):
+    d, m = b_words.shape[1], gamma.shape[1]
+    elements = []
+    for g in gamma:
+        for word in codes:
+            theta = np.zeros((d, m))
+            theta[:, np.nonzero(g)[0]] = b_words[word].T
+            elements.append(theta)
+    return int(_brute_force_distances(elements).min())
+
+
+def test_min_distance_joint_term_on_shifted_patterns():
+    # patterns {0, 1} and {1, 2} share column 1, first in one and second in
+    # the other; the one code puts word 0 then word 1, so column 1 differs
+    # in both entries and the distance is 1 + 2 + 1, not the per-column 2
+    gamma = [np.array([1, 1, 0]), np.array([0, 1, 1])]
+    codes = np.array([[0, 1]])
+    b_words = gv_sphere_packing(2, 1, 0)
+    db = 2 * (1 - b_words @ b_words.T).astype(np.int64)
+    assert bounds._min_distance_exact(gamma, codes, db, 1) == 4
+    assert _assembled_min_distance(np.array(gamma), codes, b_words) == 4
+
+
+def test_min_distance_matches_brute_force_on_sparse_codes():
+    # a few column patterns and one or two content words, so that the
+    # minimum often comes from patterns sharing columns at shifted positions
+    # (the construction's own code holds the all-zero word, which hides that)
+    rng = stream(31)
+    for _ in range(120):
+        m = int(rng.integers(3, 7))
+        s, d = int(rng.integers(2, m)), int(rng.integers(2, 4))
+        s0 = int(rng.integers(1, d))
+        b_words = gv_sphere_packing(d, s0, 0)
+        patterns = np.array([
+            np.isin(np.arange(m), cols).astype(int)
+            for cols in combinations(range(m), s)
+        ])
+        pick = rng.choice(len(patterns), size=min(len(patterns), int(rng.integers(2, 4))),
+                          replace=False)
+        gamma = patterns[np.sort(pick)]
+        codes = np.unique(rng.integers(len(b_words), size=(int(rng.integers(1, 3)), s)), axis=0)
+        db = 2 * (s0 - b_words @ b_words.T).astype(np.int64)
+        assert bounds._min_distance_exact(list(gamma), codes, db, s0) == (
+            _assembled_min_distance(gamma, codes, b_words)
+        )

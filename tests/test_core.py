@@ -48,6 +48,14 @@ def test_grouped_matrix_is_immutable():
         g.values[0, 0] = 5.0
 
 
+def test_grouped_matrix_copies_its_input():
+    arr = np.ones((2, 2))
+    g = GroupedMatrix(arr)
+    arr[0, 0] = 5.0
+    assert g.values[0, 0] == 1.0
+    assert arr.flags.writeable
+
+
 def test_grouped_matrix_rejects_bad_shapes():
     with pytest.raises(ValueError):
         GroupedMatrix(np.zeros(3))

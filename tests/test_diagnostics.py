@@ -242,6 +242,31 @@ def test_dsrip_certified_skipping_matches_per_support_loop(case):
     assert (rep.u_s, rep.l_s, rep.degenerate_supports) == _extreme_eigs_loop(X, supports)
 
 
+def test_union_matches_unique():
+    rng = stream(28)
+    for p, shape in [(48, (633, 6)), (7, (3, 2)), (4000, (40, 6)), (5, (1, 5))]:
+        supports = rng.integers(p, size=shape)
+        union, local = diagnostics._union(supports, p)
+        expected, inverse = np.unique(supports, return_inverse=True)
+        assert np.array_equal(union, expected)
+        assert np.array_equal(local, inverse.reshape(shape))
+
+
+@pytest.mark.parametrize("chunk_bytes", [None, 5000])
+def test_wide_design_monte_carlo_matches_per_support_loop(monkeypatch, chunk_bytes):
+    # the sampled supports read a few hundred of the 4000 columns, so only
+    # those rows of X^T are copied and the supports index that copy
+    if chunk_bytes is not None:
+        monkeypatch.setattr(diagnostics, "_CHUNK_BYTES", chunk_bytes)
+    m, d, s, s0 = 200, 20, 2, 3
+    X = simulate.gen_design(60, m * d, "gaussian_iid", stream(29))
+    X[:, 45] = X[:, 7]
+    rep = diagnostics.dsrip(X, m, d, s, s0, method="monte_carlo", trials=150, seed=6)
+    supports = _sampled_supports(6, 150, m, d, s, s0)
+    assert len({c for idx in supports for c in idx}) < m * d // 4
+    assert (rep.u_s, rep.l_s, rep.degenerate_supports) == _extreme_eigs_loop(X, supports)
+
+
 def test_most_supports_skip_eigendecomposition(monkeypatch):
     # (6,8,2,3) has 47 040 supports; on a Gaussian design nearly all of them
     # are certified away from both extremes and never eigendecomposed

@@ -144,6 +144,27 @@ def test_cli_rates():
     assert out["hard"]["total"] == pytest.approx(0.1709, abs=5e-4)
 
 
+def test_cli_module_run_prints_no_warning():
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "doublesparse.harness", "rates",
+         "--m", "8", "--d", "16", "--s", "2", "--s0", "2", "--n", "100"],
+        capture_output=True, text=True,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+
+
+def test_lazy_harness_names():
+    code = (
+        "import sys, doublesparse\n"
+        "assert 'doublesparse.harness' not in sys.modules\n"
+        "from doublesparse import harness\n"
+        "assert doublesparse.run_sweep is harness.run_sweep\n"
+        "assert doublesparse.Cell is harness.Cell\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert (proc.returncode, proc.stderr) == (0, "")
+
+
 def test_cli_soft_class_rejected_by_sweep_kept_by_rates():
     args = ("--m", "6", "--d", "6", "--s", "2", "--s0", "2", "--n", "50",
             "--sigma", "1.0", "--q", "0.5", "--rq", "1.0")

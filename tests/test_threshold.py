@@ -165,6 +165,21 @@ def test_idempotent_on_own_output():
         assert np.array_equal(once.values, twice.values)
 
 
+def test_hard_mode_not_idempotent():
+    # the row cut drops the tied column 0, after which no rank reaches
+    # s * lam^2 and the second pass keeps nothing: not a projection
+    U = GroupedMatrix(np.array([[1.0, 1.0], [1.0, 0.0]]))
+    budget = hard(2, 2, 2, 1)
+    once = threshold.apply(U, 1.0, budget)
+    twice = threshold.apply(once.result, 1.0, budget)
+    assert np.array_equal(once.result.values, [[0.0, 1.0], [0.0, 0.0]])
+    assert not twice.result.values.any()
+    assert (once.row_cut, twice.row_cut) == (1, 0)
+    oracle_once = threshold.literal_oracle(U, 1.0, 2, 1)
+    assert np.array_equal(oracle_once.values, once.result.values)
+    assert not threshold.literal_oracle(oracle_once, 1.0, 2, 1).values.any()
+
+
 def test_rejects_bad_arguments():
     U = GroupedMatrix(np.ones((3, 3)))
     with pytest.raises(ValueError):
