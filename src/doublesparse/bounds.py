@@ -12,6 +12,8 @@ Natural logarithms throughout.
 from __future__ import annotations
 
 import math
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from itertools import combinations, product
 
@@ -164,6 +166,14 @@ def gv_qary_code(
 
     Returns an (M, length) integer array with symbols in [0, q). M >=
     q^length / sum_{j<min_dist} C(length,j)(q-1)^j.
+
+    This is the lexicode of Conway & Sloane (1986). Words are numbered in
+    scan order, and one byte per word records whether it is still free:
+    each kept word clears the V = sum_{j<min_dist} C(length,j)(q-1)^j words
+    of its Hamming ball, and the next kept word is the next free one. Cost:
+    q^length bytes of flags, one pass over the q^length x length symbol
+    table to find the ball's shifts, and O(M V length) arithmetic in M
+    vectorized steps.
     """
     q = alphabet_size
     if q < 2:
@@ -176,12 +186,69 @@ def gv_qary_code(
     if min_dist == 1:
         return np.array(list(product(range(q), repeat=length)), dtype=int)
 
-    kept = np.empty((0, length), dtype=int)
-    for cand in product(range(q), repeat=length):
-        arr = np.array(cand, dtype=int)
-        if kept.shape[0] == 0 or np.min(np.sum(kept != arr[None, :], axis=1)) >= min_dist:
-            kept = np.vstack([kept, arr[None, :]])
-    return kept
+    # the ball of radius min_dist - 1 as symbol shifts (mod q) of fewer than
+    # min_dist positions, split so that no temporary exceeds 2^20 entries
+    offsets = np.indices((q,) * length, dtype=np.min_scalar_type(q))
+    offsets = offsets.reshape(length, q**length)
+    shifts = offsets[:, np.count_nonzero(offsets, axis=0) < min_dist].T
+    parts = np.array_split(shifts, -(-shifts.size // 2**20) or 1)
+
+    place = q ** np.arange(length - 1, -1, -1)
+    free = bytearray(b"\x01") * q**length
+    marks = np.frombuffer(free, dtype=np.uint8)
+    kept = []
+    word = free.find(1)
+    while word >= 0:
+        kept.append(word)
+        symbols = word // place % q
+        for part in parts:
+            marks[(symbols + part) % q @ place] = 0
+        word = free.find(1, word + 1)
+    return np.array(kept)[:, None] // place % q
+
+
+class _PackingElements(Sequence):
+    """The elements of a Khatri-Rao packing, in pattern-major order, built on
+    access from the packing's factors: element i holds ``contents[i %
+    n_codes]`` in the columns ``columns[i // n_codes]`` of a zero d x m
+    matrix.
+
+    Each element handed out is a fresh read-only ``GroupedMatrix``; a slice
+    is a list of them. Iteration builds one (n_codes, d, m) block per column
+    pattern and yields views of it, so an element from a full pass keeps its
+    pattern's block alive. Two sequences are equal when their factors are.
+    """
+
+    def __init__(self, columns: np.ndarray, contents: np.ndarray, shape: tuple):
+        self.columns, self.contents, self.shape = columns, contents, shape
+
+    def __len__(self):
+        return len(self.columns) * len(self.contents)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self)))]
+        i = operator.index(index)
+        if not -len(self) <= i < len(self):
+            raise IndexError(f"packing element index {i} out of range for {len(self)}")
+        pattern, code = divmod(i % len(self), len(self.contents))
+        theta = np.zeros(self.shape)
+        theta[:, self.columns[pattern]] = self.contents[code]
+        theta.flags.writeable = False
+        return GroupedMatrix._wrap(theta)
+
+    def __eq__(self, other):
+        if not isinstance(other, _PackingElements):
+            return NotImplemented
+        return (self.shape == other.shape and np.array_equal(self.columns, other.columns)
+                and np.array_equal(self.contents, other.contents))
+
+    def __iter__(self):
+        for cols in self.columns:
+            block = np.zeros((len(self.contents), *self.shape))
+            block[:, :, cols] = self.contents
+            block.flags.writeable = False
+            yield from map(GroupedMatrix._wrap, block)
 
 
 @dataclass
@@ -189,12 +256,16 @@ class PackingSet:
     """A verified packing of double-sparse matrices over the alphabet
     {0, magnitude}.
 
-    ``elements`` are read-only views of one (len(elements), d, m) float
-    array, 8 d m bytes per element; holding any one element keeps that whole
-    array alive.
+    ``elements`` is a read-only sequence that keeps the Khatri-Rao factors,
+    not the matrices: the occupied columns of each of n_gamma column patterns
+    (n_gamma x s) and the scaled column contents of each of n_codes content
+    words (n_codes x d x s). Memory is O(n_gamma s + n_codes d s); each
+    element is built on access, 8 d m bytes. An element taken by index keeps
+    nothing else alive; one taken by iteration keeps its column pattern's
+    n_codes elements alive.
     """
 
-    elements: list
+    elements: Sequence
     min_pairwise_hamming: int
     target: int
     stage_sizes: dict = field(default_factory=dict)
@@ -265,9 +336,8 @@ def build_khatri_rao_packing(
     content-assignment code at minimum distance ceil(s/2). Distance
     verification is exhaustive and exact; failure raises (construction bug).
 
-    Cost: with N = n_gamma * n_codes elements, one zero-filled (N, d, m)
-    float array (8 N d m bytes), filled one column pattern at a time and
-    then made read-only; each element wraps a view of it without a copy.
+    Cost: the packing keeps only its factors, O(n_gamma s + n_codes d s)
+    memory for N = n_gamma * n_codes elements, which are built on access.
     Verification holds one n_codes x n_codes integer table and the
     n_gamma x n_gamma shared-column counts.
     """
@@ -291,16 +361,13 @@ def build_khatri_rao_packing(
     if not all(checks.values()):
         raise RuntimeError(f"greedy stage missed its counting bound: {checks}")
 
-    # words[c][:, t] is the within-column word code c assigns to its t-th
-    # column; each column pattern fills one (n_codes, d, m) block of a single
-    # read-only array, whose elements wrap views without a copy
-    words = magnitude * b_words[codes].transpose(0, 2, 1)
-    values = np.zeros((gamma.shape[0], codes.shape[0], d, m))
-    for block, g in zip(values, gamma):
-        block[:, :, np.nonzero(g)[0]] = words
-    values = values.reshape(-1, d, m)
-    values.flags.writeable = False
-    elements = [GroupedMatrix._wrap(theta) for theta in values]
+    # columns[g]: the s occupied columns of pattern g, ascending;
+    # contents[c][:, t]: the scaled within-column word code c puts in the
+    # t-th of them
+    columns = np.nonzero(gamma)[1].reshape(gamma.shape[0], s)
+    contents = np.array(magnitude * b_words[codes].transpose(0, 2, 1), dtype=float)
+    columns.flags.writeable = contents.flags.writeable = False
+    elements = _PackingElements(columns, contents, (d, m))
 
     # q x q distance table between within-column words (all weight s0)
     db = 2 * (s0 - b_words @ b_words.T).astype(np.int64)
@@ -347,7 +414,9 @@ def build_khatri_rao_packing(
 
 def export_codebook(packing: PackingSet, path) -> None:
     """Plain-text codebook: a parameter header, then one element per line as
-    semicolon-separated (row, col, value) support triples."""
+    semicolon-separated (row, col, value) support triples, in row-major
+    order. The lines are written from the factors of a packing made by
+    ``build_khatri_rao_packing``, without building its elements."""
     with open(path, "w", encoding="utf-8") as fh:
         p = packing.params
         fh.write(
@@ -355,10 +424,16 @@ def export_codebook(packing: PackingSet, path) -> None:
             f"magnitude={p.get('magnitude')} "
             f"min_hamming={packing.min_pairwise_hamming} target={packing.target}\n"
         )
-        for element in packing.elements:
-            rows, cols = np.nonzero(element.values)
-            triples = ";".join(
-                f"{i},{j},{repr(float(element.values[i, j]))}"
-                for i, j in zip(rows.tolist(), cols.tolist())
-            )
-            fh.write(triples + "\n")
+        # one line template per content word, its column slots left open;
+        # rows ascending, then slots, is the element's row-major order
+        # because each pattern's columns ascend
+        elements = packing.elements
+        templates = []
+        for content in elements.contents:
+            rows, slots = np.nonzero(content)
+            values = content[rows, slots].tolist()
+            templates.append(";".join(
+                f"{i},{{{t}}},{v!r}" for i, t, v in zip(rows.tolist(), slots.tolist(), values)
+            ) + "\n")
+        for cols in elements.columns.tolist():
+            fh.writelines(template.format(*cols) for template in templates)

@@ -1,5 +1,6 @@
 import math
-from itertools import combinations
+import pickle
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -291,3 +292,104 @@ def test_min_distance_matches_brute_force_on_sparse_codes():
         assert bounds._min_distance_exact(list(gamma), codes, db, s0) == (
             _assembled_min_distance(gamma, codes, b_words)
         )
+
+
+def _qary_code_scan(q, length, min_dist):
+    # the greedy scan gv_qary_code used before the lexicode: each candidate,
+    # in lexicographic order, against every kept word
+    kept = np.empty((0, length), dtype=int)
+    for cand in product(range(q), repeat=length):
+        arr = np.array(cand, dtype=int)
+        if kept.shape[0] == 0 or np.min(np.sum(kept != arr[None, :], axis=1)) >= min_dist:
+            kept = np.vstack([kept, arr[None, :]])
+    return kept
+
+
+@pytest.mark.parametrize(
+    "q,length,min_dist",
+    [(2, 3, 2), (3, 4, 3), (5, 5, 2), (6, 5, 3), (8, 4, 2), (4, 6, 3),
+     (2, 12, 6), (3, 3, 5), (3, 0, 2)],
+)
+def test_gv_qary_code_matches_scan(q, length, min_dist):
+    # the last three: a ball of half the space, a radius beyond the length
+    # (one word), and the empty word
+    code = gv_qary_code(q, length, min_dist)
+    expected = _qary_code_scan(q, length, min_dist)
+    assert code.dtype == expected.dtype and code.shape == expected.shape
+    assert np.array_equal(code, expected)
+
+
+def _as_bytes(elements):
+    return [element.values.tobytes() for element in elements]
+
+
+def test_packing_elements_sequence_contract():
+    elements = build_khatri_rao_packing(5, 4, 2, 2, magnitude=0.7).elements
+    n = len(elements)
+    assert n == 360
+    by_index = [elements[i] for i in range(n)]
+    assert _as_bytes(elements) == _as_bytes(by_index)
+    assert _as_bytes([elements[-1], elements[-n]]) == _as_bytes([by_index[-1], by_index[0]])
+    assert elements[np.int64(7)].values.tobytes() == by_index[7].values.tobytes()
+    for bad in (n, -n - 1):
+        with pytest.raises(IndexError):
+            elements[bad]
+    for cut in (slice(3, 9), slice(None, None, -7), slice(-5, None), slice(n, n + 3),
+                slice(10, 2), slice(None)):
+        part = elements[cut]
+        assert isinstance(part, list)
+        assert _as_bytes(part) == _as_bytes(by_index[cut])
+    with pytest.raises(TypeError):
+        elements[0] = by_index[1]
+    with pytest.raises(TypeError):
+        elements["0"]
+
+
+def test_packing_equality_compares_factors():
+    packing = build_khatri_rao_packing(5, 4, 2, 2)
+    assert packing == build_khatri_rao_packing(5, 4, 2, 2)
+    assert packing.elements == build_khatri_rao_packing(5, 4, 2, 2).elements
+    assert packing.elements != build_khatri_rao_packing(5, 4, 2, 2, magnitude=0.7).elements
+    assert packing.elements != build_khatri_rao_packing(6, 4, 2, 2).elements
+    assert packing.elements != list(packing.elements)
+
+
+def test_packing_elements_handed_out_read_only():
+    elements = build_khatri_rao_packing(6, 6, 2, 2).elements
+    for element in [*elements, *(elements[i] for i in range(len(elements))), *elements[5:9]]:
+        assert not element.values.flags.writeable
+        with pytest.raises(ValueError):
+            element.values[0, 0] = 2.0
+
+
+def _export_codebook_per_element(packing, path):
+    # the writer export_codebook used before it read the factors: one
+    # assembled element at a time
+    with open(path, "w", encoding="utf-8") as fh:
+        p = packing.params
+        fh.write(
+            f"# m={p.get('m')} d={p.get('d')} s={p.get('s')} s0={p.get('s0')} "
+            f"magnitude={p.get('magnitude')} "
+            f"min_hamming={packing.min_pairwise_hamming} target={packing.target}\n"
+        )
+        for element in packing.elements:
+            rows, cols = np.nonzero(element.values)
+            triples = ";".join(
+                f"{i},{j},{repr(float(element.values[i, j]))}"
+                for i, j in zip(rows.tolist(), cols.tolist())
+            )
+            fh.write(triples + "\n")
+
+
+@pytest.mark.parametrize("size", [(5, 4, 2, 2), (10, 6, 3, 2)])
+def test_export_codebook_matches_per_element_writer(size, tmp_path):
+    packing = build_khatri_rao_packing(*size, magnitude=0.7)
+    bounds.export_codebook(packing, tmp_path / "factors.txt")
+    _export_codebook_per_element(packing, tmp_path / "elements.txt")
+    assert (tmp_path / "factors.txt").read_bytes() == (tmp_path / "elements.txt").read_bytes()
+
+
+def test_packing_keeps_factors_not_elements():
+    m, d, s, s0 = 16, 8, 2, 2
+    packing = build_khatri_rao_packing(m, d, s, s0)
+    assert len(pickle.dumps(packing)) < 8 * len(packing.elements) * d * m / 10
