@@ -19,7 +19,7 @@ from itertools import combinations, product
 
 import numpy as np
 
-from .core import GroupedMatrix
+from .core import GroupedMatrix, _check_budget, _check_q
 
 __all__ = [
     "RateValue",
@@ -38,6 +38,7 @@ __all__ = [
 ]
 
 _ENUMERATION_GUARD = 10**6
+_TABLE_BLOCK = 1 << 20  # entries per block of the within-pattern distance table
 
 
 @dataclass(frozen=True)
@@ -57,8 +58,7 @@ class RateValue:
 
 def rate_hard(sigma: float, n: int, m: int, d: int, s: int, s0: int) -> RateValue:
     """(sigma^2/n) * (s*ln(e*m/s) + s*s0*ln(e*d/s0))."""
-    if not (1 <= s <= m and 1 <= s0 <= d):
-        raise ValueError("need 1 <= s <= m and 1 <= s0 <= d")
+    _check_budget(m, d, s, s0)
     scale = sigma * sigma / n
     group = scale * s * math.log(math.e * m / s)
     within = scale * s * s0 * math.log(math.e * d / s0)
@@ -71,8 +71,7 @@ def rate_soft(
     """(sigma^2/n)*s*ln(e*m/s) + s*rq*(sigma^2*ln(d)/n)^(1-q/2)."""
     if s == 0:
         return RateValue(0.0, 0.0, 0.0, "soft")
-    if not 0.0 < q <= 1.0:
-        raise ValueError(f"q must lie in (0, 1], got {q}")
+    _check_q(q)
     group = (sigma * sigma / n) * s * math.log(math.e * m / s)
     within = s * rq * (sigma * sigma * math.log(d) / n) ** (1.0 - q / 2.0)
     return RateValue(group + within, group, within, "soft")
@@ -80,6 +79,7 @@ def rate_soft(
 
 def covering_bound_hard(m: int, d: int, s: int, s0: int) -> float:
     """Metric-entropy bound s*ln(e*m/s) + s*s0*ln(e*d/s0)."""
+    _check_budget(m, d, s, s0)
     return s * math.log(math.e * m / s) + s * s0 * math.log(math.e * d / s0)
 
 
@@ -93,8 +93,7 @@ def covering_bound_soft(
     where the within-column entropy estimate is valid. The constant ``c_q``
     is configuration (default 1).
     """
-    if not 0.0 < q <= 1.0:
-        raise ValueError(f"q must lie in (0, 1], got {q}")
+    _check_q(q)
     radius = rq ** (1.0 / q)
     lo = math.sqrt(s) * c_q * radius * (math.log(d) / d) ** ((2.0 - q) / (2.0 * q))
     hi = math.sqrt(s) * radius
@@ -287,21 +286,26 @@ def _min_distance_exact(gamma_supports, codes, db, s0):
     across patterns via the per-column contribution plus the joint minimum
     over shared column positions.
 
-    Cost: the within-pattern table is one n_codes x n_codes integer array,
-    built from s gathers of ``db``. Pattern pairs are visited by increasing
-    per-column contribution ``base``; only pairs with ``base`` below the
-    running minimum and shared columns build a joint table.
+    Cost: the within-pattern n_codes x n_codes integer table is built from
+    s gathers of ``db`` in blocks of rows of about 2^20 entries, never
+    whole. Pattern pairs are visited by increasing per-column contribution
+    ``base``; only pairs with ``base`` below the running minimum and shared
+    columns build a joint n_codes x n_codes table.
     """
     n_codes = codes.shape[0]
     best = math.inf
     db = np.asarray(db, dtype=np.int32)  # distances are at most 2 s s0
 
     if n_codes >= 2 and len(gamma_supports):
-        dq = db[codes[:, 0]][:, codes[:, 0]]
-        for t in range(1, codes.shape[1]):
-            dq += db[codes[:, t]][:, codes[:, t]]
-        np.fill_diagonal(dq, np.iinfo(dq.dtype).max)
-        best = int(dq.min())
+        rows = max(1, _TABLE_BLOCK // n_codes)
+        for start in range(0, n_codes, rows):
+            block = codes[start:start + rows]
+            dq = db[block[:, 0]][:, codes[:, 0]]
+            for t in range(1, codes.shape[1]):
+                dq += db[block[:, t]][:, codes[:, t]]
+            own = np.arange(len(block))  # each code against itself
+            dq[own, start + own] = np.iinfo(dq.dtype).max
+            best = min(best, int(dq.min()))
 
     if len(gamma_supports) >= 2:
         gamma = np.asarray(gamma_supports, dtype=np.int64)
@@ -338,9 +342,11 @@ def build_khatri_rao_packing(
 
     Cost: the packing keeps only its factors, O(n_gamma s + n_codes d s)
     memory for N = n_gamma * n_codes elements, which are built on access.
-    Verification holds one n_codes x n_codes integer table and the
-    n_gamma x n_gamma shared-column counts.
+    Verification holds blocks of about 2^20 integer code distances, the
+    n_gamma x n_gamma shared-column counts and, per pattern pair that
+    shares columns and could set the minimum, an n_codes x n_codes table.
     """
+    _check_budget(m, d, s, s0)
     if magnitude <= 0:
         raise ValueError("magnitude must be positive")
     target = math.ceil(s * s0 / 4)

@@ -82,7 +82,7 @@ def vec_to_matrix(beta: np.ndarray, m: int, d: int) -> GroupedMatrix:
 
 def matrix_to_vec(theta: GroupedMatrix) -> np.ndarray:
     """Inverse of :func:`vec_to_matrix`; bit-exact round trip."""
-    return theta.values.reshape(-1, order="F").copy()
+    return theta.values.flatten(order="F")
 
 
 @dataclass(frozen=True)
@@ -132,6 +132,41 @@ def excess_support(candidate: SupportSet, truth: SupportSet) -> SupportSet:
     return SupportSet(candidate.entries - truth.entries)
 
 
+def _check_budget(m: int, d: int, s: int, s0: int) -> None:
+    """The (s, s0) double-sparse class must fit the d x m grid."""
+    if not 1 <= s <= m:
+        raise ValueError(f"s must lie in [1, m]={m}, got {s}")
+    if s0 is None or not 1 <= s0 <= d:
+        raise ValueError(f"s0 must lie in [1, d]={d}, got {s0}")
+
+
+def _check_q(q: float) -> None:
+    """The l_q exponent q must lie in (0, 1]."""
+    if q is None or not 0.0 < q <= 1.0:
+        raise ValueError(f"q must lie in (0, 1], got {q}")
+
+
+def _checked_vector(name: str, value, length: int) -> np.ndarray:
+    """``value`` as a float array of shape (length,) with finite entries."""
+    value = np.asanyarray(value, dtype=float)
+    if value.shape != (length,):
+        raise ValueError(f"{name} must have shape ({length},), got {value.shape}")
+    if not np.all(np.isfinite(value)):
+        raise ValueError(f"{name} must be finite")
+    return value
+
+
+def _checked_design(X, p: int | None = None) -> np.ndarray:
+    """``X`` as a 2-d float array, subclass kept, with ``p`` columns (any when
+    None). Its entries are not read: callers check finiteness on a pass they
+    make anyway."""
+    X = np.asanyarray(X, dtype=float)
+    if X.ndim != 2 or (p is not None and X.shape[1] != p):
+        width = "" if p is None else f" with p={p}"
+        raise ValueError(f"X must be a 2-d n x p array{width}, got shape {X.shape}")
+    return X
+
+
 @dataclass(frozen=True)
 class SparsityBudget:
     """Group/within-group sparsity budget on a d x m grid.
@@ -154,14 +189,13 @@ class SparsityBudget:
     def __post_init__(self):
         if self.m < 1 or self.d < 1:
             raise ValueError("m and d must be positive")
-        if not 1 <= self.s <= self.m:
-            raise ValueError(f"s must lie in [1, m]={self.m}, got {self.s}")
-        if self.mode == "hard":
-            if self.s0 is None or not 1 <= self.s0 <= self.d:
-                raise ValueError(f"s0 must lie in [1, d]={self.d}, got {self.s0}")
-        elif self.mode == "soft":
-            if self.q is None or not 0.0 < self.q <= 1.0:
-                raise ValueError(f"q must lie in (0, 1], got {self.q}")
+        if self.mode not in ("hard", "soft", "heterogeneous"):
+            raise ValueError(f"unknown mode {self.mode!r}")
+        # no s0 (soft, or heterogeneous before its default): columns may fill d rows
+        s0 = self.d if self.s0 is None and self.mode != "hard" else self.s0
+        _check_budget(self.m, self.d, self.s, s0)
+        if self.mode == "soft":
+            _check_q(self.q)
             if self.rq is None or self.rq <= 0:
                 raise ValueError(f"rq must be positive, got {self.rq}")
         elif self.mode == "heterogeneous":
@@ -173,10 +207,6 @@ class SparsityBudget:
                 object.__setattr__(
                     self, "s0", min(self.d, math.ceil(self.s_prime / self.s))
                 )
-            elif not 1 <= self.s0 <= self.d:
-                raise ValueError(f"s0 must lie in [1, d]={self.d}, got {self.s0}")
-        else:
-            raise ValueError(f"unknown mode {self.mode!r}")
 
     @classmethod
     def hard(cls, m: int, d: int, s: int, s0: int) -> "SparsityBudget":
@@ -216,15 +246,19 @@ class SparsityBudget:
             )
         return margin
 
+    def _support_fits(self, supp: SupportSet) -> bool:
+        """Membership of ``supp`` in a hard or heterogeneous support class."""
+        if self.mode == "heterogeneous":
+            return supp.in_heterogeneous_class(self.s, self.s_prime)
+        return supp.in_hard_class(self.s, self.s0)
+
     def admits(self, theta: GroupedMatrix) -> bool:
         """Whether ``theta`` lies in this budget's parameter space."""
         if (theta.rows, theta.cols) != (self.d, self.m):
             return False
         supp = support_of(theta)
-        if self.mode == "hard":
-            return supp.in_hard_class(self.s, self.s0)
-        if self.mode == "heterogeneous":
-            return supp.in_heterogeneous_class(self.s, self.s_prime)
+        if self.mode != "soft":
+            return self._support_fits(supp)
         # soft: column count plus per-column l_q mass
         if len(supp.columns) > self.s:
             return False

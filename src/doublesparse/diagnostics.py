@@ -11,7 +11,8 @@ from itertools import combinations
 
 import numpy as np
 
-from .core import stream
+from . import core
+from .core import _check_budget, _check_q, _checked_vector, stream
 
 __all__ = [
     "DsripReport",
@@ -192,15 +193,8 @@ def _extreme_eigs(X, idx):
 def _checked_design(X, m, d, s, s0) -> np.ndarray:
     """``X`` as a float array, after checking that it is a finite n x (m*d)
     matrix and that the budget (s, s0) fits the d x m grid."""
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 2:
-        raise ValueError(f"X must be a 2-d n x p array, got shape {X.shape}")
-    if X.shape[1] != m * d:
-        raise ValueError(f"X has {X.shape[1]} columns, expected m*d = {m * d}")
-    if not 1 <= s <= m:
-        raise ValueError(f"s must lie in [1, m] = [1, {m}], got {s}")
-    if not 1 <= s0 <= d:
-        raise ValueError(f"s0 must lie in [1, d] = [1, {d}], got {s0}")
+    X = core._checked_design(np.asarray(X, dtype=float), m * d)
+    _check_budget(m, d, s, s0)
     if not np.all(np.isfinite(X)):
         raise ValueError("X must be finite")
     return X
@@ -303,12 +297,8 @@ def noise_event_stat(
     largest column scores.
     """
     X = _checked_design(X, m, d, s, s0)
-    xi = np.asarray(xi, dtype=float)
     n = X.shape[0]
-    if xi.shape != (n,):
-        raise ValueError(f"xi must have shape ({n},), got {xi.shape}")
-    if not np.all(np.isfinite(xi)):
-        raise ValueError("xi must be finite")
+    xi = _checked_vector("xi", xi, n)
     xi_corr = (X.T @ xi / n).reshape((d, m), order="F")
     sq = xi_corr * xi_corr
     top_rows = np.sort(sq, axis=0)[::-1, :][:s0, :]
@@ -331,6 +321,5 @@ def noise_event_bound(sigma: float, n: int, p: int, d: int, s: int, s0: int) -> 
 
 def rec_slack(rq: float, n: int, s: int, d: int, q: float) -> float:
     """Restricted-eigenvalue slack term s * rq * (ln(d)/n)^(1 - q/2)."""
-    if not 0.0 < q <= 1.0:
-        raise ValueError(f"q must lie in (0, 1], got {q}")
+    _check_q(q)
     return s * rq * (math.log(d) / n) ** (1.0 - q / 2.0)

@@ -16,6 +16,9 @@ from . import diagnostics, threshold
 from .core import (
     GroupedMatrix,
     SparsityBudget,
+    _check_budget,
+    _checked_design,
+    _checked_vector,
     excess_support,
     matrix_to_vec,
     support_of,
@@ -104,20 +107,17 @@ def default_lambda_inf(
 def default_lambda0(X: np.ndarray, Y: np.ndarray, s: int, s0: int) -> float:
     """Data-driven starting threshold ||X^T Y / n||_2 / sqrt(s*s0); with a
     zero start it upper-bounds the signal scale the error analysis needs."""
-    X = np.asarray(X, dtype=float)
-    Y = np.asarray(Y, dtype=float)
+    X = _checked_design(np.asarray(X, dtype=float))
     n = X.shape[0]
+    Y = _checked_vector("Y", Y, n)
     return float(np.linalg.norm(X.T @ Y / n) / math.sqrt(s * s0))
 
 
-def _validate_design(X: np.ndarray, Y: np.ndarray, p: int) -> int:
-    if X.ndim != 2 or X.shape[1] != p:
-        raise ValueError(f"X must be n x p with p={p}, got shape {X.shape}")
+def _validate_design(X: np.ndarray, Y: np.ndarray, p: int) -> tuple:
+    """(X, Y) as float arrays: an n x p design with column norms sqrt(n), finite Y."""
+    X = _checked_design(X, p)
     n = X.shape[0]
-    if Y.shape != (n,):
-        raise ValueError(f"Y must have shape ({n},), got {Y.shape}")
-    if not np.all(np.isfinite(Y)):
-        raise ValueError("Y must be finite")
+    Y = _checked_vector("Y", Y, n)
     norms = np.sqrt(np.einsum("ij,ij->j", X, X))
     # a non-finite entry makes its column norm non-finite
     if not np.all(np.isfinite(norms)):
@@ -127,29 +127,19 @@ def _validate_design(X: np.ndarray, Y: np.ndarray, p: int) -> int:
         raise ValueError(
             f"columns of X must have norm sqrt(n); worst deviation {worst:.3e}"
         )
-    return n
+    return X, Y
 
 
 def _iterate(X, Y, budget, schedule, beta0, truth, operator, bound_constant):
     p = budget.p
-    X = np.asanyarray(X, dtype=float)
-    Y = np.asanyarray(Y, dtype=float)
-    n = _validate_design(X, Y, p)
-    beta0 = np.zeros(p) if beta0 is None else np.asanyarray(beta0, dtype=float)
-    if beta0.shape != (p,):
-        raise ValueError(f"beta0 must have shape ({p},), got {beta0.shape}")
-    if not np.all(np.isfinite(beta0)):
-        raise ValueError("beta0 must be finite")
-
-    truth_supp = None
-    if truth is not None:
-        truth = np.asanyarray(truth, dtype=float)
-        if truth.shape != (p,):
-            raise ValueError(f"truth must have shape ({p},), got {truth.shape}")
-        truth_supp = support_of(vec_to_matrix(truth, budget.m, budget.d))
+    X, Y = _validate_design(X, Y, p)
+    n = X.shape[0]
+    beta0 = np.zeros(p) if beta0 is None else _checked_vector("beta0", beta0, p)
 
     trace = IterationTrace(bound_constant=bound_constant)
     if truth is not None:
+        truth = _checked_vector("truth", truth, p)
+        truth_supp = support_of(vec_to_matrix(truth, budget.m, budget.d))
         trace.errors = []
         trace.excess_sizes = []
         trace.excess_admissible = []
@@ -166,11 +156,7 @@ def _iterate(X, Y, budget, schedule, beta0, truth, operator, bound_constant):
             support_of(vec_to_matrix(beta, budget.m, budget.d)), truth_supp
         )
         trace.excess_sizes.append(len(excess))
-        if budget.mode == "heterogeneous":
-            admissible = excess.in_heterogeneous_class(budget.s, budget.s_prime)
-        else:
-            admissible = excess.in_hard_class(budget.s, budget.s0)
-        trace.excess_admissible.append(admissible)
+        trace.excess_admissible.append(budget._support_fits(excess))
         bound = bound_constant * math.sqrt(budget.s * budget.s0) * lam
         trace.bound_held.append(err <= bound)
 
@@ -214,8 +200,7 @@ def _iterate(X, Y, budget, schedule, beta0, truth, operator, bound_constant):
     # the schedule's output line: the last iterate computed before lambda
     # fell below lambda_inf is betas[-1]; the returned estimate is the one
     # before it
-    beta_hat = trace.betas[-2] if len(trace.betas) >= 2 else trace.betas[-1]
-    return beta_hat.copy(), trace
+    return trace.betas[-2].copy(), trace
 
 
 def dsiht(
@@ -273,11 +258,9 @@ def project_double_sparse(Y: GroupedMatrix, s: int, s0: int) -> GroupedMatrix:
     index), rank columns by truncated squared mass, keep the s best (ties to
     the lower column index)."""
     d, m = Y.rows, Y.cols
-    if not 1 <= s <= m:
-        raise ValueError(f"s must lie in [1, m]={m}")
-    if not 1 <= s0 <= d:
-        raise ValueError(f"s0 must lie in [1, d]={d}")
+    _check_budget(m, d, s, s0)
     V = Y.values
+    _checked_vector("Y", V.ravel(), V.size)
     A = np.abs(V)
 
     # stable argsort of -|.| puts lower row indices first among ties
@@ -361,9 +344,9 @@ def constrained_ls_bruteforce(
 def iht_baseline(X: np.ndarray, Y: np.ndarray, k: int, steps: int) -> np.ndarray:
     """Classical iterative hard thresholding: gradient step scaled by 1/n,
     then keep the k largest-magnitude components (ties to the lower index)."""
-    X = np.asarray(X, dtype=float)
-    Y = np.asarray(Y, dtype=float)
+    X = _checked_design(np.asarray(X, dtype=float))
     n, p = X.shape
+    Y = _checked_vector("Y", Y, n)
     if not 1 <= k <= p:
         raise ValueError(f"k must lie in [1, p]={p}")
     beta = np.zeros(p)

@@ -146,6 +146,11 @@ def _draw(cell: Cell, design: str | None, magnitude: float, rng) -> tuple:
     ``magnitude`` and random signs, then, for ``design=None``, the location
     observation theta* + noise, else the design X and the regression response.
     Returns (theta*, X or None, response)."""
+    if cell.q is not None or cell.rq is not None:
+        raise ValueError(
+            "q/rq describe a soft (l_q-ball) signal class, but signals are drawn "
+            "hard-sparse only; soft-signal replicates are not supported"
+        )
     budget = SparsityBudget.hard(cell.m, cell.d, cell.s, cell.s0)
     spec = simulate.SignalSpec(budget, simulate.Constant(magnitude), sign="random")
     theta_star = simulate.gen_signal(spec, rng)
@@ -161,11 +166,6 @@ def run_one(cell: Cell, cell_index: int, replicate: int, estimator: str, seed: i
     """Run a single replicate; randomness comes from (seed, cell, replicate)."""
     if estimator not in ESTIMATORS:
         raise ValueError(f"unknown estimator {estimator!r}; choose from {ESTIMATORS}")
-    if cell.q is not None or cell.rq is not None:
-        raise ValueError(
-            "q/rq describe a soft (l_q-ball) signal class, but replicates draw "
-            "hard-sparse signals only; soft-signal replicates are not supported"
-        )
     glm = estimator == "projection_glm"
     design = cell.design or ("identity" if glm else "gaussian_iid")
     if glm and design != "identity":

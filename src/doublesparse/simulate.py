@@ -18,6 +18,7 @@ from .core import (
     GroupedMatrix,
     NoiseModel,
     SparsityBudget,
+    _checked_design,
     float_text,
     stream,
     text_float,
@@ -95,35 +96,32 @@ def gen_signal(spec: SignalSpec, seed) -> GroupedMatrix:
     theta = np.zeros((d, m))
     cols = np.sort(rng.choice(m, size=s, replace=False))
 
-    if budget.mode == "soft":
-        if isinstance(spec.magnitude, LeastFavorable):
-            delta = spec.magnitude.delta
-            s0_eff = int(round(budget.rq / delta**budget.q))
-            if s0_eff < 1 or s0_eff > d:
-                raise ValueError(
-                    f"rq/delta^q = {budget.rq / delta ** budget.q:.4g} gives an "
-                    f"infeasible per-column count for d={d}"
-                )
-            for j in cols:
-                rows = rng.choice(d, size=s0_eff, replace=False)
-                theta[rows, j] = delta * _signs(rng, s0_eff, spec.sign)
-        else:
-            for j in cols:
-                raw = _draw_magnitudes(spec.magnitude, rng, d)
-                raw *= _signs(rng, d, spec.sign)
-                mass = np.sum(np.abs(raw) ** budget.q)
-                if mass <= 0:
-                    raise ValueError("degenerate zero column in soft-mode generation")
-                theta[:, j] = raw * (budget.rq / mass) ** (1.0 / budget.q)
-        out = GroupedMatrix(theta)
-        _check_admissible(budget, out)
-        return out
-
     if budget.mode == "hard":
         counts = [budget.s0] * s
-    else:  # heterogeneous: spread s_prime entries over the chosen columns
+    elif budget.mode == "heterogeneous":
+        # spread s_prime entries over the chosen columns
         base, extra = divmod(budget.s_prime, s)
         counts = [base + (1 if t < extra else 0) for t in range(s)]
+    elif isinstance(spec.magnitude, LeastFavorable):
+        # soft: rq / delta^q entries of delta meet each column's mass exactly
+        delta = spec.magnitude.delta
+        s0_eff = int(round(budget.rq / delta**budget.q))
+        if s0_eff < 1 or s0_eff > d:
+            raise ValueError(
+                f"rq/delta^q = {budget.rq / delta ** budget.q:.4g} gives an "
+                f"infeasible per-column count for d={d}"
+            )
+        counts = [s0_eff] * s
+    else:
+        # soft: whole columns of draws, rescaled to mass rq; none left to place
+        counts = []
+        for j in cols:
+            raw = _draw_magnitudes(spec.magnitude, rng, d)
+            raw *= _signs(rng, d, spec.sign)
+            mass = np.sum(np.abs(raw) ** budget.q)
+            if mass <= 0:
+                raise ValueError("degenerate zero column in soft-mode generation")
+            theta[:, j] = raw * (budget.rq / mass) ** (1.0 / budget.q)
     for j, cnt in zip(cols, counts):
         if cnt == 0:
             continue
@@ -132,14 +130,10 @@ def gen_signal(spec: SignalSpec, seed) -> GroupedMatrix:
         theta[rows, j] = mags * _signs(rng, cnt, spec.sign)
 
     out = GroupedMatrix(theta)
-    _check_admissible(budget, out)
-    return out
-
-
-def _check_admissible(budget, out):
     # an explicit raise, unlike assert, survives python -O
     if not budget.admits(out):
         raise RuntimeError(f"generated signal lies outside its {budget.mode}-mode budget")
+    return out
 
 
 def _draw_magnitudes(magnitude, rng, size):
@@ -184,12 +178,8 @@ def gen_regression(
 ) -> np.ndarray:
     """Response X @ beta_star + xi with xi i.i.d. Gaussian(0, sigma^2)."""
     rng = _as_rng(seed)
-    X = np.asarray(X, dtype=float)
     beta_star = np.asarray(beta_star, dtype=float)
-    if X.shape[1] != beta_star.shape[0]:
-        raise ValueError(
-            f"shape mismatch: X is {X.shape}, beta_star has length {beta_star.shape[0]}"
-        )
+    X = _checked_design(np.asarray(X, dtype=float), beta_star.shape[0])
     xi = rng.normal(0.0, noise.sigma, size=X.shape[0])
     return X @ beta_star + xi
 

@@ -21,7 +21,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import GroupedMatrix, SparsityBudget, SupportSet
+from .core import GroupedMatrix, SparsityBudget, SupportSet, _check_budget
 
 __all__ = [
     "ThresholdOutcome",
@@ -57,7 +57,7 @@ class ThresholdOutcome:
 
 def step1_entrywise(U: GroupedMatrix, lam: float) -> GroupedMatrix:
     """Entrywise hard thresholding: keep entries with |value| >= lam."""
-    if lam <= 0:
+    if not lam > 0:  # a NaN lam fails this too
         raise ValueError("lam must be positive")
     V = U.values
     return GroupedMatrix(np.where(np.abs(V) >= lam, V, 0.0))
@@ -69,13 +69,10 @@ def _matrix_stage(
     """Column condition, then the row condition unless ``row_condition`` is
     false, in which case i_max = d and every nonzero entry of a selected
     column stays active."""
-    if lam <= 0:
+    if not lam > 0:
         raise ValueError("lam must be positive")
     d, m = U.rows, U.cols
-    if not 1 <= s <= m:
-        raise ValueError(f"s must lie in [1, m]={m}")
-    if not 1 <= s0 <= d:
-        raise ValueError(f"s0 must lie in [1, d]={d}")
+    _check_budget(m, d, s, s0)
     V = U.values
     A = np.abs(V)
 
@@ -146,7 +143,7 @@ def literal_oracle(
 ) -> GroupedMatrix:
     """Loop-for-loop transcription of the operator definitions, used as an
     independent test oracle. Deliberately unoptimized."""
-    if lam <= 0:
+    if not lam > 0:
         raise ValueError("lam must be positive")
     d, m = U.rows, U.cols
 

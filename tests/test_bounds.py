@@ -1,5 +1,6 @@
 import math
 import pickle
+import tracemalloc
 from itertools import combinations, product
 
 import numpy as np
@@ -237,6 +238,40 @@ def test_packing_min_distance_matches_brute_force(size, within, true_min):
     same = pattern[:, None] == pattern[None, :]
     assert int(dist[same].min()) == within
     assert int(dist.min()) == true_min == packing.min_pairwise_hamming
+
+
+@pytest.mark.parametrize("order", [[0, 1, 2, 3], [2, 0, 1, 3], [2, 3, 0, 1]])
+def test_min_distance_over_row_blocks(monkeypatch, order):
+    # one code-distance table row per block: each block masks its own
+    # diagonal entry mid-table, and the closest pair (codes 0 and 1) sits in
+    # the first, middle or last blocks
+    monkeypatch.setattr(bounds, "_TABLE_BLOCK", 1)
+    gamma = np.array([[1, 1, 0]])
+    codes = np.array([[0, 0], [0, 1], [2, 3], [3, 2]])[order]
+    b_words = gv_sphere_packing(4, 1, 0)
+    db = 2 * (1 - b_words @ b_words.T).astype(np.int64)
+    assert bounds._min_distance_exact(list(gamma), codes, db, 1) == 2
+    assert _assembled_min_distance(gamma, codes, b_words) == 2
+
+
+def test_min_distance_holds_no_full_code_table(monkeypatch):
+    peaks = []
+    original = bounds._min_distance_exact
+
+    def traced(*args):
+        tracemalloc.start()
+        try:
+            return original(*args)
+        finally:
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+
+    monkeypatch.setattr(bounds, "_min_distance_exact", traced)
+    packing = build_khatri_rao_packing(8, 6, 4, 2)
+    n_codes = packing.stage_sizes["code"]
+    assert n_codes == 3165
+    # the int32 n_codes x n_codes table is 40 MB; a block is at most 4 MB
+    assert peaks[0] < n_codes * n_codes * 4 / 2
 
 
 def test_packing_elements_read_only():

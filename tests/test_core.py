@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from doublesparse import bounds, diagnostics, estimators, threshold
 from doublesparse.core import (
     GroupedMatrix,
     NoiseModel,
@@ -97,6 +98,48 @@ def test_budget_validation():
     for s0 in (0, 5, 99):
         with pytest.raises(ValueError, match="s0"):
             SparsityBudget.heterogeneous(4, 3, 2, s_prime=4, s0=s0)
+
+
+def _budget_entry_points():
+    # every entry point that takes an (s, s0) budget on a 4 x 4 grid
+    X = np.eye(20, 16) * math.sqrt(20)
+    U = GroupedMatrix(np.ones((4, 4)))
+    return {
+        "SparsityBudget": lambda s, s0: SparsityBudget.hard(4, 4, s, s0),
+        "step2_matrix": lambda s, s0: threshold.step2_matrix(U, 1.0, s, s0),
+        "project_double_sparse": lambda s, s0: estimators.project_double_sparse(U, s, s0),
+        "dsrip": lambda s, s0: diagnostics.dsrip(X, 4, 4, s, s0),
+        "noise_event_stat": lambda s, s0: diagnostics.noise_event_stat(
+            X, np.zeros(20), 4, 4, s, s0),
+        "rate_hard": lambda s, s0: bounds.rate_hard(1.0, 20, 4, 4, s, s0),
+        "covering_bound_hard": lambda s, s0: bounds.covering_bound_hard(4, 4, s, s0),
+        "build_khatri_rao_packing": lambda s, s0: bounds.build_khatri_rao_packing(4, 4, s, s0),
+    }
+
+
+@pytest.mark.parametrize("entry", sorted(_budget_entry_points()))
+@pytest.mark.parametrize(
+    "s,s0,message",
+    [(0, 2, r"^s must lie in \[1, m\]=4, got 0$"),
+     (5, 2, r"^s must lie in \[1, m\]=4, got 5$"),
+     (2, 0, r"^s0 must lie in \[1, d\]=4, got 0$"),
+     (2, 5, r"^s0 must lie in \[1, d\]=4, got 5$")],
+)
+def test_budget_rule_has_one_message(entry, s, s0, message):
+    with pytest.raises(ValueError, match=message):
+        _budget_entry_points()[entry](s, s0)
+
+
+@pytest.mark.parametrize("q", [0.0, -0.5, 1.5, math.nan])
+def test_q_rule_has_one_message(q):
+    for call in (
+        lambda: SparsityBudget.soft(4, 4, 2, q=q, rq=1.0),
+        lambda: bounds.rate_soft(1.0, 20, 4, 4, 2, q, 1.0),
+        lambda: bounds.covering_bound_soft(4, 4, 2, q, 1.0, 1.0),
+        lambda: diagnostics.rec_slack(1.0, 20, 2, 4, q),
+    ):
+        with pytest.raises(ValueError, match=rf"^q must lie in \(0, 1\], got {q}$"):
+            call()
 
 
 def test_heterogeneous_s0_default():

@@ -130,19 +130,51 @@ def test_unnormalized_design_rejected():
         estimators.dsiht(X, np.zeros(8), budget, ThresholdSchedule(1.0, 0.5, 0.5))
 
 
-@pytest.mark.parametrize("name", ["X", "Y", "beta0"])
+@pytest.mark.parametrize("name", ["X", "Y", "beta0", "truth"])
 def test_non_finite_input_rejected(name):
     rng = stream(15)
     budget = SparsityBudget.hard(4, 4, 1, 1)
     X = simulate.gen_design(12, 16, "gaussian_iid", rng)
-    args = {"X": X, "Y": rng.normal(size=12), "beta0": np.zeros(16)}
+    args = {"X": X, "Y": rng.normal(size=12), "beta0": np.zeros(16),
+            "truth": np.zeros(16)}
     args[name] = args[name].copy()
     args[name][3] = np.nan
     with pytest.raises(ValueError, match=f"^{name} must be finite"):
         estimators.dsiht(
             args["X"], args["Y"], budget, ThresholdSchedule(1.0, 0.5, 0.5),
-            beta0=args["beta0"],
+            beta0=args["beta0"], truth=args["truth"],
         )
+
+
+@pytest.mark.parametrize(
+    "solver",
+    [lambda X, Y: estimators.default_lambda0(X, Y, 1, 1),
+     lambda X, Y: estimators.iht_baseline(X, Y, 2, 3)],
+    ids=["default_lambda0", "iht_baseline"],
+)
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        (lambda X, Y: (X, np.where(np.arange(12) == 3, np.nan, Y)), "^Y must be finite"),
+        (lambda X, Y: (X, Y[:-1]), r"^Y must have shape \(12,\)"),
+        (lambda X, Y: (X, Y[:, None]), r"^Y must have shape \(12,\)"),
+        (lambda X, Y: (X[:, 0], Y), "^X must be a 2-d"),
+    ],
+    ids=["nan-Y", "short-Y", "column-Y", "1-d-X"],
+)
+def test_data_driven_helpers_reject_bad_inputs(solver, bad, message):
+    rng = stream(24)
+    X = simulate.gen_design(12, 16, "gaussian_iid", rng)
+    with pytest.raises(ValueError, match=message):
+        solver(*bad(X, rng.normal(size=12)))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_projection_rejects_non_finite(bad):
+    values = stream(25).normal(size=(4, 5))
+    values[2, 3] = bad
+    with pytest.raises(ValueError, match="^Y must be finite"):
+        estimators.project_double_sparse(GroupedMatrix(values), 2, 2)
 
 
 def test_dense_start_matches_full_product_loop():

@@ -165,12 +165,16 @@ def test_lazy_harness_names():
     assert (proc.returncode, proc.stderr) == (0, "")
 
 
-def test_cli_soft_class_rejected_by_sweep_kept_by_rates():
+def test_cli_soft_class_rejected_by_sweep_kept_by_rates(tmp_path):
     args = ("--m", "6", "--d", "6", "--s", "2", "--s0", "2", "--n", "50",
             "--sigma", "1.0", "--q", "0.5", "--rq", "1.0")
     sweep = _cli("sweep", "--replicates", "2", *args)
     assert sweep.returncode == 1
     assert "soft-signal replicates are not supported" in sweep.stderr
+    generate = _cli("generate", "--out", str(tmp_path / "soft"), *args)
+    assert generate.returncode == 1
+    assert "soft-signal replicates are not supported" in generate.stderr
+    assert not any(tmp_path.iterdir())
     rates = _cli("rates", *args)
     assert rates.returncode == 0
     assert json.loads(rates.stdout)["soft"]["total"] > 0

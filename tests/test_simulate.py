@@ -65,6 +65,19 @@ def test_soft_least_favorable_infeasible_delta():
         gen_signal(SignalSpec(budget, LeastFavorable(0.01)), stream(3))
 
 
+def test_soft_least_favorable_random_signs_match_hand_draw():
+    # the draw order: s sorted columns, then per column its rows and signs
+    budget = SparsityBudget.soft(6, 16, 3, q=0.5, rq=2.0)
+    theta = gen_signal(SignalSpec(budget, LeastFavorable(0.25), sign="random"), stream(8))
+    rng = stream(8)
+    expected = np.zeros((16, 6))
+    for j in np.sort(rng.choice(6, size=3, replace=False)):
+        rows = rng.choice(16, size=4, replace=False)
+        expected[rows, j] = 0.25 * rng.choice([-1.0, 1.0], size=4)
+    assert theta.values.tobytes() == expected.tobytes()
+    assert {-0.25, 0.25} <= set(theta.values.ravel().tolist())
+
+
 def test_soft_generic_column_meets_mass():
     budget = SparsityBudget.soft(5, 8, 2, q=1.0, rq=3.0)
     theta = gen_signal(SignalSpec(budget, UniformRange(0.5, 1.5)), stream(4))

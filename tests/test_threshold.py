@@ -190,3 +190,15 @@ def test_rejects_bad_arguments():
         threshold.apply(U, 1.0, SparsityBudget.heterogeneous(3, 3, 1, 2))
     with pytest.raises(ValueError):
         threshold.apply_heterogeneous(U, 1.0, SparsityBudget.hard(3, 3, 1, 1))
+    # a NaN lam passes a `lam <= 0` test and would zero every entry
+    nan = float("nan")
+    for call in (
+        lambda: threshold.step1_entrywise(U, nan),
+        lambda: threshold.step2_matrix(U, nan, s=1, s0=1),
+        lambda: threshold.apply(U, nan, SparsityBudget.hard(3, 3, 1, 1)),
+        lambda: threshold.apply_heterogeneous(U, nan, SparsityBudget.heterogeneous(3, 3, 1, 2)),
+        lambda: threshold.literal_oracle(U, nan, 1, 1),
+        lambda: threshold.literal_oracle(U, nan, 1, 1, row_condition=False),
+    ):
+        with pytest.raises(ValueError, match="^lam must be positive"):
+            call()
