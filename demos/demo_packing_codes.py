@@ -22,6 +22,12 @@ words = gv_sphere_packing(8, 2, 1)
 print(f"weight-2 words of length 8 at pairwise distance > 1: {words.shape[0]} "
       f"(counting bound {sphere_packing_bound(8, 2, 1):.1f})")
 
+# at rho = 3, two weight-6 words are too close when they share 6 - 3 // 2 = 5
+# positions
+words = gv_sphere_packing(20, 6, 3)
+print(f"weight-6 words of length 20 at pairwise distance > 3: {words.shape[0]} "
+      f"(counting bound {sphere_packing_bound(20, 6, 3):.1f})")
+
 code = gv_qary_code(4, 3, 2)
 print(f"ternary-length code over a 4-letter alphabet at distance >= 2: "
       f"{code.shape[0]} words (bound {qary_code_bound(4, 3, 2):.1f})")

@@ -38,7 +38,7 @@ __all__ = [
 ]
 
 _ENUMERATION_GUARD = 10**6
-_TABLE_BLOCK = 1 << 20  # entries per block of the within-pattern distance table
+_TABLE_BLOCK = 1 << 20  # entries per block of a code-distance table
 
 
 @dataclass(frozen=True)
@@ -132,6 +132,11 @@ def gv_sphere_packing(m: int, k: int, rho: int) -> np.ndarray:
     pairwise Hamming distance > rho, scanned in lexicographic support order.
 
     Returns an (M, m) 0/1 array. M >= C(m,k) / sum_{i=0}^{rho} C(m,i).
+
+    Two weight-k words lie within distance rho exactly when they share at
+    least t = k - rho // 2 positions, so a candidate is kept when none of
+    its t-subsets belongs to a kept word. Cost: at most C(k, rho // 2) set
+    lookups per candidate, as the scan stops at the first taken subset.
     """
     if not 0 <= k <= m:
         raise ValueError(f"need 0 <= k <= m, got k={k}, m={m}")
@@ -140,20 +145,15 @@ def gv_sphere_packing(m: int, k: int, rho: int) -> np.ndarray:
     if math.comb(m, k) > _ENUMERATION_GUARD:
         raise ValueError(f"sphere too large: C({m},{k}) = {math.comb(m, k)}")
 
-    kept_supports = []
-    if rho <= 1:
-        # distinct equal-weight words differ in >= 2 positions
-        kept_supports = [frozenset(c) for c in combinations(range(m), k)]
-    else:
-        for cand in combinations(range(m), k):
-            cset = frozenset(cand)
-            # distance between weight-k words: 2*(k - overlap)
-            if all(2 * (k - len(cset & kept)) > rho for kept in kept_supports):
-                kept_supports.append(cset)
+    t = max(k - rho // 2, 0)
+    taken, kept = set(), []
+    for cand in combinations(range(m), k):
+        if taken.isdisjoint(combinations(cand, t)):
+            kept.append(cand)
+            taken.update(combinations(cand, t))
 
-    out = np.zeros((len(kept_supports), m), dtype=int)
-    for row, supp in enumerate(kept_supports):
-        out[row, sorted(supp)] = 1
+    out = np.zeros((len(kept), m), dtype=int)
+    np.put_along_axis(out, np.array(kept, dtype=np.intp).reshape(len(kept), k), 1, axis=1)
     return out
 
 
@@ -286,8 +286,8 @@ def _min_distance_exact(gamma_supports, codes, db, s0):
     across patterns via the per-column contribution plus the joint minimum
     over shared column positions.
 
-    Cost: the within-pattern n_codes x n_codes integer table is built from
-    s gathers of ``db`` in blocks of rows of about 2^20 entries, never
+    Cost: each n_codes x n_codes integer table, within-pattern or joint, is
+    built from gathers of ``db`` in blocks of rows of about 2^20 entries, never
     whole. Pattern pairs are visited by increasing per-column contribution
     ``base``; only pairs with ``base`` below the running minimum and shared
     columns build a joint n_codes x n_codes table.
@@ -296,16 +296,25 @@ def _min_distance_exact(gamma_supports, codes, db, s0):
     best = math.inf
     db = np.asarray(db, dtype=np.int32)  # distances are at most 2 s s0
 
-    if n_codes >= 2 and len(gamma_supports):
+    def table_min(pos_g, pos_h, skip_diagonal=False):
+        # min over code pairs (x, y) of sum_t db[x[pos_g[t]], y[pos_h[t]]];
+        # the within-pattern term is the joint term of a pattern with itself
+        low = math.inf
         rows = max(1, _TABLE_BLOCK // n_codes)
         for start in range(0, n_codes, rows):
             block = codes[start:start + rows]
-            dq = db[block[:, 0]][:, codes[:, 0]]
-            for t in range(1, codes.shape[1]):
-                dq += db[block[:, t]][:, codes[:, t]]
-            own = np.arange(len(block))  # each code against itself
-            dq[own, start + own] = np.iinfo(dq.dtype).max
-            best = min(best, int(dq.min()))
+            dq = db[block[:, pos_g[0]]][:, codes[:, pos_h[0]]]
+            for a, b in zip(pos_g[1:], pos_h[1:]):
+                dq += db[block[:, a]][:, codes[:, b]]
+            if skip_diagonal:
+                own = np.arange(len(block))  # each code against itself
+                dq[own, start + own] = np.iinfo(dq.dtype).max
+            low = min(low, int(dq.min()))
+        return low
+
+    if n_codes >= 2 and len(gamma_supports):
+        every = range(codes.shape[1])
+        best = table_min(every, every, skip_diagonal=True)
 
     if len(gamma_supports) >= 2:
         gamma = np.asarray(gamma_supports, dtype=np.int64)
@@ -323,8 +332,7 @@ def _min_distance_exact(gamma_supports, codes, db, s0):
                 continue
             cols = np.flatnonzero(gamma[g[pair]] & gamma[h[pair]])
             in_g, in_h = position[g[pair], cols], position[h[pair], cols]
-            joint = sum(db[codes[:, a]][:, codes[:, b]] for a, b in zip(in_g, in_h))
-            best = min(best, int(base[pair]) + int(joint.min()))
+            best = min(best, int(base[pair]) + table_min(in_g, in_h))
     return best
 
 
@@ -343,8 +351,7 @@ def build_khatri_rao_packing(
     Cost: the packing keeps only its factors, O(n_gamma s + n_codes d s)
     memory for N = n_gamma * n_codes elements, which are built on access.
     Verification holds blocks of about 2^20 integer code distances, the
-    n_gamma x n_gamma shared-column counts and, per pattern pair that
-    shares columns and could set the minimum, an n_codes x n_codes table.
+    n_gamma x n_gamma shared-column counts and the q x q word distances.
     """
     _check_budget(m, d, s, s0)
     if magnitude <= 0:
@@ -376,7 +383,9 @@ def build_khatri_rao_packing(
     elements = _PackingElements(columns, contents, (d, m))
 
     # q x q distance table between within-column words (all weight s0)
-    db = 2 * (s0 - b_words @ b_words.T).astype(np.int64)
+    db = b_words.astype(np.int32) @ b_words.T.astype(np.int32)
+    db -= s0
+    db *= -2
     min_dist = _min_distance_exact(list(gamma), codes, db, s0)
     if len(elements) >= 2 and min_dist < target:
         raise RuntimeError(

@@ -140,6 +140,13 @@ def _check_budget(m: int, d: int, s: int, s0: int) -> None:
         raise ValueError(f"s0 must lie in [1, d]={d}, got {s0}")
 
 
+def _check_flat_budget(p: int, d: int, s: int, s0: int) -> None:
+    """The (s, s0) class must fit the grid of p = m * d coefficients."""
+    if not (d >= 1 and p >= 1 and p % d == 0):
+        raise ValueError(f"p must be a positive multiple of d={d}, got {p}")
+    _check_budget(p // d, d, s, s0)
+
+
 def _check_q(q: float) -> None:
     """The l_q exponent q must lie in (0, 1]."""
     if q is None or not 0.0 < q <= 1.0:

@@ -12,7 +12,7 @@ from itertools import combinations
 import numpy as np
 
 from . import core
-from .core import _check_budget, _check_q, _checked_vector, stream
+from .core import _check_budget, _check_flat_budget, _check_q, _checked_vector, stream
 
 __all__ = [
     "DsripReport",
@@ -279,8 +279,8 @@ def sparse_eigen_constants(
     """Extreme singular values of support-restricted submatrices, scaled by
     1/sqrt(n), over the (doubled) budget class: pass s2 = 2s, s02 = 2s0."""
     X = np.asarray(X, dtype=float)
-    n = X.shape[0]
     report = dsrip(X, m, d, s2, s02, method=method, trials=trials, seed=seed)
+    n = X.shape[0]  # after dsrip has checked that X is 2-d
     tau_u = math.sqrt(report.u_s / n)
     tau_l = math.sqrt(max(report.l_s, 0.0) / n)
     return tau_u, tau_l
@@ -309,6 +309,7 @@ def noise_event_stat(
 def noise_event_bound(sigma: float, n: int, p: int, d: int, s: int, s0: int) -> float:
     """High-probability envelope 10 * sigma^2 * s * (ln(e*p/s) + s0*ln(e*d/s0)) / n
     for the statistic of :func:`noise_event_stat`."""
+    _check_flat_budget(p, d, s, s0)
     return (
         NOISE_EVENT_CONSTANT
         * sigma

@@ -17,6 +17,7 @@ from .core import (
     GroupedMatrix,
     SparsityBudget,
     _check_budget,
+    _check_flat_budget,
     _checked_design,
     _checked_vector,
     excess_support,
@@ -96,10 +97,11 @@ def default_lambda_inf(
         sqrt(40 * sigma^2 * ((1/s0) * ln(e*p/s) + ln(e*d/s0)) / n)
 
     at which the solver's decaying schedule stops."""
-    if n < 1 or p < 1 or d < 1 or s < 1 or s0 < 1:
-        raise ValueError("n, p, d, s, s0 must be positive")
+    if n < 1:
+        raise ValueError("n must be positive")
     if sigma < 0:
         raise ValueError("sigma must be nonnegative")
+    _check_flat_budget(p, d, s, s0)
     inner = math.log(math.e * p / s) / s0 + math.log(math.e * d / s0)
     return math.sqrt(40.0 * sigma * sigma * inner / n)
 

@@ -417,21 +417,32 @@ def _config_flags(argv) -> list:
     return flags
 
 
-def _add_common(parser):
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--m", type=int, default=8)
-    parser.add_argument("--d", type=int, default=8)
-    # lists span a sweep's grid; the other subcommands take one value
-    parser.add_argument("--s", type=_list_of(int), default="2")
-    parser.add_argument("--s0", type=_list_of(int), default="2")
-    parser.add_argument("--n", type=_list_of(int), default="100")
-    parser.add_argument("--sigma", type=_list_of(float), default="1.0")
-    parser.add_argument("--q", type=float, default=None)
-    parser.add_argument("--rq", type=float, default=None)
-    parser.add_argument("--kappa", type=float, default=0.8)
-    parser.add_argument("--lambda0", type=float, default=None)
-    parser.add_argument("--lambda-inf", dest="lambda_inf", type=float, default=None)
-    parser.add_argument("--config", default=None, help="key=value defaults file")
+def _add_common(parser, unread=()):
+    """The shared flags, less those named in ``unread`` (by destination),
+    which the subcommand does not read: passing one is a usage error, and
+    its default fills the cells the subcommand builds."""
+    common = [
+        ("--seed", dict(type=int, default=0)),
+        ("--m", dict(type=int, default=8)),
+        ("--d", dict(type=int, default=8)),
+        # lists span a sweep's grid; the other subcommands take one value
+        ("--s", dict(type=_list_of(int), default=[2])),
+        ("--s0", dict(type=_list_of(int), default=[2])),
+        ("--n", dict(type=_list_of(int), default=[100])),
+        ("--sigma", dict(type=_list_of(float), default=[1.0])),
+        ("--q", dict(type=float, default=None)),
+        ("--rq", dict(type=float, default=None)),
+        ("--kappa", dict(type=float, default=0.8)),
+        ("--lambda0", dict(type=float, default=None)),
+        ("--lambda-inf", dict(dest="lambda_inf", type=float, default=None)),
+        ("--config", dict(default=None, help="key=value defaults file")),
+    ]
+    for flag, options in common:
+        dest = options.get("dest", flag[2:])
+        if dest in unread:
+            parser.set_defaults(**{dest: options["default"]})
+        else:
+            parser.add_argument(flag, **options)
 
 
 def _build_parser():
@@ -441,8 +452,11 @@ def _build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # generate, solve and sweep take --q/--rq to reject them: they draw
+    # hard-sparse signals only
+    tuning = ("kappa", "lambda0", "lambda_inf")
     gen = sub.add_parser("generate", help="write a signal/dataset to CSV files")
-    _add_common(gen)
+    _add_common(gen, unread=tuning)
     gen.add_argument("--model", choices=("glm", "regression"), default="glm")
     gen.add_argument("--design", choices=("identity", "gaussian_iid"),
                      default="gaussian_iid")
@@ -462,7 +476,7 @@ def _build_parser():
     sweep.add_argument("--format", choices=("csv", "json"), default="csv")
 
     diag = sub.add_parser("dsrip", help="design-matrix isometry diagnostics")
-    _add_common(diag)
+    _add_common(diag, unread=("sigma", "q", "rq", *tuning))
     diag.add_argument("--design", choices=("identity", "gaussian_iid"),
                       default="gaussian_iid")
     diag.add_argument("--method", choices=("exhaustive", "monte_carlo"),
@@ -470,12 +484,12 @@ def _build_parser():
     diag.add_argument("--trials", type=int, default=1000)
 
     pack = sub.add_parser("packing", help="build and verify a packing set")
-    _add_common(pack)
+    _add_common(pack, unread=("seed", "n", "sigma", "q", "rq", *tuning))
     pack.add_argument("--magnitude", type=float, default=1.0)
     pack.add_argument("--out", default=None, help="codebook output path")
 
     rates = sub.add_parser("rates", help="evaluate the rate formulas")
-    _add_common(rates)
+    _add_common(rates, unread=("seed", *tuning))
     return parser
 
 

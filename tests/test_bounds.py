@@ -120,6 +120,34 @@ def test_gv_sphere_packing_degenerate_rho():
     assert words.shape[0] == 1
 
 
+def _sphere_packing_scan(m, k, rho):
+    # the greedy scan gv_sphere_packing used before the subset presence set:
+    # each candidate support, in lexicographic order, against every kept one
+    kept_supports = []
+    for cand in combinations(range(m), k):
+        cset = frozenset(cand)
+        # distance between weight-k words: 2*(k - overlap)
+        if all(2 * (k - len(cset & kept)) > rho for kept in kept_supports):
+            kept_supports.append(cset)
+    out = np.zeros((len(kept_supports), m), dtype=int)
+    for row, supp in enumerate(kept_supports):
+        out[row, sorted(supp)] = 1
+    return out
+
+
+@pytest.mark.parametrize(
+    "m,k,rho",
+    [(8, 3, 0), (8, 4, 1), (10, 4, 2), (10, 5, 3), (12, 6, 5), (11, 4, 2), (9, 3, 6),
+     (7, 2, 9), (6, 0, 2), (0, 0, 0), (7, 7, 3), (13, 5, 4)],
+)
+def test_gv_sphere_packing_matches_scan(m, k, rho):
+    # rho = 2k and beyond (one word), k = 0, k = m, and odd m among them
+    words = gv_sphere_packing(m, k, rho)
+    expected = _sphere_packing_scan(m, k, rho)
+    assert words.dtype == expected.dtype and words.shape == expected.shape
+    assert np.array_equal(words, expected)
+
+
 def test_gv_qary_code_small():
     code = gv_qary_code(2, 3, 2)
     assert code.shape[0] >= qary_code_bound(2, 3, 2)
@@ -252,9 +280,20 @@ def test_min_distance_over_row_blocks(monkeypatch, order):
     db = 2 * (1 - b_words @ b_words.T).astype(np.int64)
     assert bounds._min_distance_exact(list(gamma), codes, db, 1) == 2
     assert _assembled_min_distance(gamma, codes, b_words) == 2
+    # the joint term in blocks too: over the shifted patterns {0, 1} and
+    # {1, 2}, codes of one pattern differ in both words, 4 apart, and only
+    # code 2 against itself puts one word in the shared column, 1 + 1 apart
+    shifted = np.array([[1, 1, 0], [0, 1, 1]])
+    codes = np.array([[0, 4], [1, 5], [2, 2], [3, 6]])[order]
+    b_words = gv_sphere_packing(8, 1, 0)
+    db = 2 * (1 - b_words @ b_words.T).astype(np.int64)
+    assert bounds._min_distance_exact(list(shifted[:1]), codes, db, 1) == 4
+    assert bounds._min_distance_exact(list(shifted), codes, db, 1) == 2
+    assert _assembled_min_distance(shifted, codes, b_words) == 2
 
 
-def test_min_distance_holds_no_full_code_table(monkeypatch):
+def _verification_peak(monkeypatch, size):
+    # the tracemalloc peak of the minimum-distance check in a packing build
     peaks = []
     original = bounds._min_distance_exact
 
@@ -267,11 +306,25 @@ def test_min_distance_holds_no_full_code_table(monkeypatch):
             tracemalloc.stop()
 
     monkeypatch.setattr(bounds, "_min_distance_exact", traced)
-    packing = build_khatri_rao_packing(8, 6, 4, 2)
+    return build_khatri_rao_packing(*size), peaks[0]
+
+
+def test_min_distance_holds_no_full_code_table(monkeypatch):
+    packing, peak = _verification_peak(monkeypatch, (8, 6, 4, 2))
     n_codes = packing.stage_sizes["code"]
     assert n_codes == 3165
     # the int32 n_codes x n_codes table is 40 MB; a block is at most 4 MB
-    assert peaks[0] < n_codes * n_codes * 4 / 2
+    assert peak < n_codes * n_codes * 4 / 2
+
+
+def test_min_distance_holds_no_full_joint_table(monkeypatch):
+    # every pair of the 15 column patterns shares columns, and the joint
+    # term sets the minimum: 2, below the within-pattern 4
+    packing, peak = _verification_peak(monkeypatch, (6, 16, 4, 1))
+    n_codes = packing.stage_sizes["code"]
+    assert (n_codes, packing.min_pairwise_hamming) == (4096, 2)
+    # the int32 n_codes x n_codes table is 67 MB
+    assert peak < n_codes * n_codes * 4 / 2
 
 
 def test_packing_elements_read_only():

@@ -114,6 +114,8 @@ def _budget_entry_points():
         "rate_hard": lambda s, s0: bounds.rate_hard(1.0, 20, 4, 4, s, s0),
         "covering_bound_hard": lambda s, s0: bounds.covering_bound_hard(4, 4, s, s0),
         "build_khatri_rao_packing": lambda s, s0: bounds.build_khatri_rao_packing(4, 4, s, s0),
+        "default_lambda_inf": lambda s, s0: estimators.default_lambda_inf(1.0, 20, 16, 4, s, s0),
+        "noise_event_bound": lambda s, s0: diagnostics.noise_event_bound(1.0, 20, 16, 4, s, s0),
     }
 
 
@@ -128,6 +130,13 @@ def _budget_entry_points():
 def test_budget_rule_has_one_message(entry, s, s0, message):
     with pytest.raises(ValueError, match=message):
         _budget_entry_points()[entry](s, s0)
+
+
+@pytest.mark.parametrize("p,d", [(15, 4), (0, 4), (16, 0), (-8, 4)])
+def test_flat_budget_needs_p_a_multiple_of_d(p, d):
+    for call in (estimators.default_lambda_inf, diagnostics.noise_event_bound):
+        with pytest.raises(ValueError, match=rf"^p must be a positive multiple of d={d}, got {p}$"):
+            call(1.0, 20, p, d, 1, 1)
 
 
 @pytest.mark.parametrize("q", [0.0, -0.5, 1.5, math.nan])

@@ -62,6 +62,12 @@ def test_sparse_eigen_constants_list_input_matches_array():
     assert diagnostics.sparse_eigen_constants(X.tolist(), 4, 4, 2, 2) == want
 
 
+@pytest.mark.parametrize("X", [np.float64(3.0), np.zeros(4)])
+def test_sparse_eigen_constants_rejects_a_design_that_is_not_2d(X):
+    with pytest.raises(ValueError, match=r"^X must be a 2-d n x p array with p=4, got shape"):
+        diagnostics.sparse_eigen_constants(X, 2, 2, 1, 1)
+
+
 def test_dsrip_guards():
     X = np.zeros((10, 12))
     with pytest.raises(ValueError):

@@ -298,6 +298,28 @@ def test_cli_dsrip_and_packing(tmp_path):
     assert out.exists()
 
 
+# the shared flags each subcommand does not read
+UNREAD_FLAGS = {
+    "generate": ["--kappa", "--lambda0", "--lambda-inf"],
+    "dsrip": ["--sigma", "--q", "--rq", "--kappa", "--lambda0", "--lambda-inf"],
+    "packing": ["--seed", "--n", "--sigma", "--q", "--rq", "--kappa", "--lambda0",
+                "--lambda-inf"],
+    "rates": ["--seed", "--kappa", "--lambda0", "--lambda-inf"],
+}
+
+
+@pytest.mark.parametrize(
+    "command,flag", [(c, f) for c, flags in UNREAD_FLAGS.items() for f in flags]
+)
+def test_cli_rejects_a_flag_the_subcommand_does_not_read(capsys, tmp_path, command, flag):
+    argv = [command, "--m", "4", "--d", "4", "--s", "1", "--s0", "1", flag, "1"]
+    if command == "generate":
+        argv += ["--out", str(tmp_path / "data")]
+    assert harness.main(argv) == 1
+    assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
 FLOAT_FIELDS = ("sigma", "kappa", "sq_error", "rate_value")
 OPTIONAL_FLOAT_FIELDS = ("q", "rq", "lambda0", "lambda_inf")
 
