@@ -282,7 +282,8 @@ def test_min_distance_over_row_blocks(monkeypatch, order):
     assert _assembled_min_distance(gamma, codes, b_words) == 2
     # the joint term in blocks too: over the shifted patterns {0, 1} and
     # {1, 2}, codes of one pattern differ in both words, 4 apart, and only
-    # code 2 against itself puts one word in the shared column, 1 + 1 apart
+    # the code (2, 2) against itself puts one word in the shared column, so
+    # those two elements differ only in columns 0 and 2, 1 + 1 apart
     shifted = np.array([[1, 1, 0], [0, 1, 1]])
     codes = np.array([[0, 4], [1, 5], [2, 2], [3, 6]])[order]
     b_words = gv_sphere_packing(8, 1, 0)
