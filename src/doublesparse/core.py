@@ -153,6 +153,15 @@ def _check_q(q: float) -> None:
         raise ValueError(f"q must lie in (0, 1], got {q}")
 
 
+def _check_noise(sigma: float, n: int) -> None:
+    """The noise level sigma must be finite and nonnegative, the sample size
+    n at least 1."""
+    if sigma is None or not (math.isfinite(sigma) and sigma >= 0):
+        raise ValueError(f"sigma must be finite and nonnegative, got {sigma}")
+    if n is None or not n >= 1:
+        raise ValueError(f"n must be at least 1, got {n}")
+
+
 def _checked_vector(name: str, value, length: int) -> np.ndarray:
     """``value`` as a float array of shape (length,) with finite entries."""
     value = np.asanyarray(value, dtype=float)
@@ -253,21 +262,26 @@ class SparsityBudget:
             )
         return margin
 
-    def _support_fits(self, supp: SupportSet) -> bool:
-        """Membership of ``supp`` in a hard or heterogeneous support class."""
+    def _mask_fits(self, mask: np.ndarray) -> bool:
+        """Whether the support marked by the d x m boolean ``mask`` lies in
+        the hard or heterogeneous support class: the same answer as
+        ``SupportSet.in_hard_class`` / ``in_heterogeneous_class``."""
+        per_column = mask.sum(axis=0)
+        if np.count_nonzero(per_column) > self.s:
+            return False
         if self.mode == "heterogeneous":
-            return supp.in_heterogeneous_class(self.s, self.s_prime)
-        return supp.in_hard_class(self.s, self.s0)
+            return int(per_column.sum()) <= self.s_prime
+        return int(per_column.max()) <= self.s0
 
     def admits(self, theta: GroupedMatrix) -> bool:
         """Whether ``theta`` lies in this budget's parameter space."""
         if (theta.rows, theta.cols) != (self.d, self.m):
             return False
-        supp = support_of(theta)
+        mask = theta.values != 0
         if self.mode != "soft":
-            return self._support_fits(supp)
+            return self._mask_fits(mask)
         # soft: column count plus per-column l_q mass
-        if len(supp.columns) > self.s:
+        if np.count_nonzero(mask.any(axis=0)) > self.s:
             return False
         mass = np.sum(np.abs(theta.values) ** self.q, axis=0)
         return bool(np.all(mass <= self.rq * (1 + 1e-12)))
@@ -281,10 +295,7 @@ class NoiseModel:
     n: int
 
     def __post_init__(self):
-        if self.sigma < 0:
-            raise ValueError("sigma must be nonnegative")
-        if self.n < 1:
-            raise ValueError("n must be a positive integer")
+        _check_noise(self.sigma, self.n)
 
     @property
     def entry_std(self) -> float:

@@ -12,7 +12,14 @@ from itertools import combinations
 import numpy as np
 
 from . import core
-from .core import _check_budget, _check_flat_budget, _check_q, _checked_vector, stream
+from .core import (
+    _check_budget,
+    _check_flat_budget,
+    _check_noise,
+    _check_q,
+    _checked_vector,
+    stream,
+)
 
 __all__ = [
     "DsripReport",
@@ -309,6 +316,7 @@ def noise_event_stat(
 def noise_event_bound(sigma: float, n: int, p: int, d: int, s: int, s0: int) -> float:
     """High-probability envelope 10 * sigma^2 * s * (ln(e*p/s) + s0*ln(e*d/s0)) / n
     for the statistic of :func:`noise_event_stat`."""
+    _check_noise(sigma, n)
     _check_flat_budget(p, d, s, s0)
     return (
         NOISE_EVENT_CONSTANT

@@ -18,12 +18,11 @@ from .core import (
     SparsityBudget,
     _check_budget,
     _check_flat_budget,
+    _check_noise,
     _checked_design,
     _checked_vector,
     excess_support,
-    matrix_to_vec,
     support_of,
-    vec_to_matrix,
 )
 
 __all__ = [
@@ -38,6 +37,9 @@ __all__ = [
     "iht_baseline",
     "HARD_CONTRACTION_CONSTANT",
     "HETEROGENEOUS_CONTRACTION_CONSTANT",
+    # core's support helpers, re-exported under the names a benchmark traces
+    "support_of",
+    "excess_support",
 ]
 
 # per-iteration error-bound constants of the two solver variants
@@ -97,10 +99,7 @@ def default_lambda_inf(
         sqrt(40 * sigma^2 * ((1/s0) * ln(e*p/s) + ln(e*d/s0)) / n)
 
     at which the solver's decaying schedule stops."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    if sigma < 0:
-        raise ValueError("sigma must be nonnegative")
+    _check_noise(sigma, n)
     _check_flat_budget(p, d, s, s0)
     inner = math.log(math.e * p / s) / s0 + math.log(math.e * d / s0)
     return math.sqrt(40.0 * sigma * sigma * inner / n)
@@ -133,34 +132,51 @@ def _validate_design(X: np.ndarray, Y: np.ndarray, p: int) -> tuple:
 
 
 def _iterate(X, Y, budget, schedule, beta0, truth, operator, bound_constant):
-    p = budget.p
+    """The loop both solvers share, on plain arrays and masks.
+
+    The gradient step is marked read-only and handed to ``operator`` as a
+    ``GroupedMatrix`` over its column-major (d, m) view, without a copy; the
+    next iterate is the operator's read-only output flattened in the same
+    order. With ``truth``, the excess support is the mask of entries nonzero
+    in the iterate and zero in the truth. An iterate with the same bits as
+    the one before keeps its gradient step, error and excess support; only
+    ``bound_held`` is recomputed at the new lambda.
+    """
+    p, d, m = budget.p, budget.d, budget.m
     X, Y = _validate_design(X, Y, p)
     n = X.shape[0]
     beta0 = np.zeros(p) if beta0 is None else _checked_vector("beta0", beta0, p)
 
     trace = IterationTrace(bound_constant=bound_constant)
+    bound_scale = bound_constant * math.sqrt(budget.s * budget.s0)
     if truth is not None:
         truth = _checked_vector("truth", truth, p)
-        truth_supp = support_of(vec_to_matrix(truth, budget.m, budget.d))
+        off_truth = truth == 0
         trace.errors = []
         trace.excess_sizes = []
         trace.excess_admissible = []
         trace.bound_held = []
 
-    def record(beta, lam):
+    def record(beta, lam, moved=True):
         trace.lambdas.append(lam)
         trace.betas.append(beta.copy())
         if truth is None:
             return
-        err = float(np.linalg.norm(beta - truth))
+        if moved:
+            # np.linalg.norm's formula for a real vector, without its dispatch
+            diff = beta - truth
+            err = math.sqrt(diff.dot(diff))
+            excess = ((beta != 0) & off_truth).reshape((d, m), order="F")
+            size = int(np.count_nonzero(excess))
+            fits = budget._mask_fits(excess)
+        else:
+            err = trace.errors[-1]
+            size = trace.excess_sizes[-1]
+            fits = trace.excess_admissible[-1]
         trace.errors.append(err)
-        excess = excess_support(
-            support_of(vec_to_matrix(beta, budget.m, budget.d)), truth_supp
-        )
-        trace.excess_sizes.append(len(excess))
-        trace.excess_admissible.append(budget._support_fits(excess))
-        bound = bound_constant * math.sqrt(budget.s * budget.s0) * lam
-        trace.bound_held.append(err <= bound)
+        trace.excess_sizes.append(size)
+        trace.excess_admissible.append(fits)
+        trace.bound_held.append(err <= bound_scale * lam)
 
     lam = schedule.lambda0
     beta = beta0
@@ -182,22 +198,24 @@ def _iterate(X, Y, budget, schedule, beta0, truth, operator, bound_constant):
     while lam >= schedule.lambda_inf:
         if U is None:
             grad_step = beta + X.T @ (Y - fit) / n
-            if not np.all(np.isfinite(grad_step)):
+            if not np.isfinite(grad_step).all():
                 raise FloatingPointError("non-finite values in the solver iterate")
-            U = vec_to_matrix(grad_step, budget.m, budget.d)
+            grad_step.flags.writeable = False
+            U = GroupedMatrix._wrap(grad_step.reshape((d, m), order="F"))
         outcome = operator(U, lam, budget)
-        new_beta = matrix_to_vec(outcome.result)
+        new_beta = outcome.result.values.ravel(order="F")
         # an iterate with the same bits has the same gradient step: keep U.
         # Compare bits, not values: a caller's beta0 may hold -0.0 where the
         # operator writes +0.0.
-        if not np.array_equal(new_beta.view(np.int64), beta.view(np.int64)):
+        moved = not np.array_equal(new_beta.view(np.int64), beta.view(np.int64))
+        if moved:
             # a threshold output is sparse: multiply over its support only
-            nz = np.flatnonzero(new_beta)
+            nz = new_beta.nonzero()[0]
             fit = X[:, nz] @ new_beta[nz]
             U = None
         beta = new_beta
         lam = lam * sqrt_kappa
-        record(beta, lam)
+        record(beta, lam, moved)
 
     # the schedule's output line: the last iterate computed before lambda
     # fell below lambda_inf is betas[-1]; the returned estimate is the one

@@ -37,16 +37,24 @@ __all__ = [
 class ThresholdOutcome:
     """Result of the matrix-condition stage.
 
-    ``selected_columns`` is the column index set passing the column condition,
-    ``row_cut`` the largest admissible order-statistic rank (0 when no row
+    ``selected_mask`` marks the columns passing the column condition,
+    ``row_cut`` is the largest admissible order-statistic rank (0 when no row
     qualifies, the full depth d for the row-condition-free variant), and
-    ``active_mask`` the d x m boolean mask of the entries the output keeps.
+    ``active_mask`` is the d x m boolean mask of the entries the output keeps.
+    ``result`` wraps the stage's own output array without a copy; it and
+    both masks are read-only. ``selected_columns`` and ``active_set`` are
+    built from the masks on first access.
     """
 
     result: GroupedMatrix
-    selected_columns: frozenset
+    selected_mask: np.ndarray
     row_cut: int
     active_mask: np.ndarray
+
+    @cached_property
+    def selected_columns(self) -> frozenset:
+        """The column indices passing the column condition."""
+        return frozenset(np.flatnonzero(self.selected_mask).tolist())
 
     @cached_property
     def active_set(self) -> SupportSet:
@@ -55,12 +63,23 @@ class ThresholdOutcome:
         return SupportSet(frozenset(zip(rows.tolist(), cols.tolist())))
 
 
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
+
+
 def step1_entrywise(U: GroupedMatrix, lam: float) -> GroupedMatrix:
-    """Entrywise hard thresholding: keep entries with |value| >= lam."""
+    """Entrywise hard thresholding: keep entries with |value| >= lam.
+
+    The output is a fresh read-only array in C order, whatever the layout of
+    ``U``, so that the matrix stage's column and row sums add in the same
+    order for the solver's column-major gradient step as for any other
+    input."""
     if not lam > 0:  # a NaN lam fails this too
         raise ValueError("lam must be positive")
     V = U.values
-    return GroupedMatrix(np.where(np.abs(V) >= lam, V, 0.0))
+    out = np.ascontiguousarray(np.where(np.abs(V) >= lam, V, 0.0))
+    return GroupedMatrix._wrap(_frozen(out))
 
 
 def _matrix_stage(
@@ -76,14 +95,14 @@ def _matrix_stage(
     V = U.values
     A = np.abs(V)
 
-    col_scores = np.sum(V * V, axis=0)
+    col_scores = (V * V).sum(axis=0)
     selected = col_scores >= s0 * lam * lam
 
     if row_condition:
         # i-th non-increasing magnitude order statistic per column, squared,
         # summed across columns
         order = np.sort(A, axis=0)[::-1, :]
-        row_scores = np.sum(order * order, axis=1)
+        row_scores = (order * order).sum(axis=1)
         qualifying = np.nonzero(row_scores >= s * lam * lam)[0]
         i_max = int(qualifying[-1]) + 1 if qualifying.size else 0
         # #{k : |U_kj| >= |U_ij|} <= i_max  <=>  |U_ij| > order[i_max, j]
@@ -92,10 +111,8 @@ def _matrix_stage(
         i_max, cut = d, 0.0
     active = (A > cut) & selected[None, :]
 
-    result = GroupedMatrix(np.where(active, V, 0.0))
-    active.flags.writeable = False
-    sel_cols = frozenset(np.nonzero(selected)[0].tolist())
-    return ThresholdOutcome(result, sel_cols, i_max, active)
+    result = GroupedMatrix._wrap(_frozen(np.where(active, V, 0.0)))
+    return ThresholdOutcome(result, _frozen(selected), i_max, _frozen(active))
 
 
 def step2_matrix(U: GroupedMatrix, lam: float, s: int, s0: int) -> ThresholdOutcome:

@@ -139,6 +139,37 @@ def test_flat_budget_needs_p_a_multiple_of_d(p, d):
             call(1.0, 20, p, d, 1, 1)
 
 
+def _noise_entry_points():
+    # every entry point that takes a noise level sigma and a sample size n
+    return {
+        "NoiseModel": lambda sigma, n: NoiseModel(sigma, n),
+        "default_lambda_inf": lambda sigma, n: estimators.default_lambda_inf(
+            sigma, n, 16, 4, 1, 1),
+        "noise_event_bound": lambda sigma, n: diagnostics.noise_event_bound(
+            sigma, n, 16, 4, 1, 1),
+    }
+
+
+@pytest.mark.parametrize("entry", sorted(_noise_entry_points()))
+@pytest.mark.parametrize(
+    "sigma,n,message",
+    [(-1.0, 10, r"^sigma must be finite and nonnegative, got -1\.0$"),
+     (math.nan, 10, r"^sigma must be finite and nonnegative, got nan$"),
+     (math.inf, 10, r"^sigma must be finite and nonnegative, got inf$"),
+     (None, 10, r"^sigma must be finite and nonnegative, got None$"),
+     (1.0, 0, r"^n must be at least 1, got 0$"),
+     (1.0, -3, r"^n must be at least 1, got -3$")],
+)
+def test_noise_rule_has_one_message(entry, sigma, n, message):
+    with pytest.raises(ValueError, match=message):
+        _noise_entry_points()[entry](sigma, n)
+
+
+@pytest.mark.parametrize("entry", sorted(_noise_entry_points()))
+def test_noise_rule_admits_zero_sigma_and_one_sample(entry):
+    _noise_entry_points()[entry](0.0, 1)
+
+
 @pytest.mark.parametrize("q", [0.0, -0.5, 1.5, math.nan])
 def test_q_rule_has_one_message(q):
     for call in (
@@ -166,6 +197,63 @@ def test_budget_admits():
     assert b.admits(GroupedMatrix(theta))
     theta[2, 2] = 1.0  # second entry in column 2
     assert not b.admits(GroupedMatrix(theta))
+
+
+@st.composite
+def budget_masks(draw):
+    """A d x m support mask and a hard or heterogeneous budget on its grid.
+    Most masks are built to sit on a limit or one past it: s columns or one
+    more or fewer, s0 or s0 + 1 entries in a column, a total of s_prime or
+    one off; the rest are arbitrary."""
+    d, m = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    s, s0 = draw(st.integers(1, m)), draw(st.integers(1, d))
+    if draw(st.booleans()):
+        cells = draw(st.lists(st.booleans(), min_size=d * m, max_size=d * m))
+        mask = np.array(cells).reshape(d, m)
+    else:
+        mask = np.zeros((d, m), dtype=bool)
+        ncols = min(m, max(0, s + draw(st.sampled_from([-1, 0, 0, 1]))))
+        for j in draw(st.permutations(range(m)))[:ncols]:
+            count = draw(st.one_of(st.sampled_from([s0, s0 + 1]), st.integers(1, d)))
+            mask[draw(st.permutations(range(d)))[:count], j] = True
+    if draw(st.booleans()):
+        return mask, SparsityBudget.hard(m, d, s, s0)
+    total = int(np.count_nonzero(mask))
+    s_prime = draw(st.one_of(st.sampled_from([total - 1, total, total + 1]),
+                             st.integers(1, s * d)))
+    return mask, SparsityBudget.heterogeneous(m, d, s, min(max(s_prime, 1), s * d))
+
+
+def test_mask_fits_matches_support_set_classes():
+    edges = set()
+
+    @settings(max_examples=600, deadline=None, derandomize=True, database=None)
+    @given(budget_masks())
+    def check(case):
+        mask, budget = case
+        rows, cols = np.nonzero(mask)
+        supp = SupportSet(frozenset(zip(rows.tolist(), cols.tolist())))
+        if budget.mode == "hard":
+            expected = supp.in_hard_class(budget.s, budget.s0)
+        else:
+            expected = supp.in_heterogeneous_class(budget.s, budget.s_prime)
+        assert budget._mask_fits(mask) is expected
+        signs = np.where(np.arange(mask.size).reshape(mask.shape) % 2, -1.5, 2.0)
+        assert budget.admits(GroupedMatrix(np.where(mask, signs, 0.0))) is expected
+        if expected:
+            counts = supp.column_counts()
+            if len(counts) == budget.s:
+                edges.add("s columns")
+            if budget.mode == "hard" and budget.s0 in counts.values():
+                edges.add("s0 in a column")
+            if budget.mode == "heterogeneous" and len(supp) == budget.s_prime:
+                edges.add("s_prime in total")
+        else:
+            edges.add(f"{budget.mode} refused")
+
+    check()
+    assert edges == {"s columns", "s0 in a column", "s_prime in total",
+                     "hard refused", "heterogeneous refused"}
 
 
 def test_soft_budget_admits_lq_mass():

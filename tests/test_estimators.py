@@ -9,11 +9,12 @@ from doublesparse.core import (
     GroupedMatrix,
     NoiseModel,
     SparsityBudget,
+    SupportSet,
     matrix_to_vec,
     stream,
     vec_to_matrix,
 )
-from doublesparse import estimators, simulate, threshold
+from doublesparse import core, estimators, simulate, threshold
 from doublesparse.estimators import ThresholdSchedule
 
 
@@ -528,6 +529,79 @@ def test_gradient_reuse_matches_reference_loop():
     check()
     assert seen == {"truth", "long zero phase", "nonzero iterate stands still",
                     "hard", "heterogeneous", "dense start with -0.0"}
+
+
+def test_solver_loop_builds_no_support_sets(monkeypatch):
+    # the loop reads masks: with core's support helpers made to raise, both
+    # solvers still finish with the same trace
+    rng = stream(31)
+    n, m, d, s, s0 = 120, 12, 10, 3, 2
+    hard = SparsityBudget.hard(m, d, s, s0)
+    spec = simulate.SignalSpec(hard, simulate.Constant(1.0), sign="random")
+    truth = matrix_to_vec(simulate.gen_signal(spec, rng))
+    X = simulate.gen_design(n, m * d, "gaussian_iid", rng)
+    Y = simulate.gen_regression(X, truth, NoiseModel(0.3, n), rng)
+    # lambda_inf low enough that noise enters: the excess support grows past
+    # the budget late in the run
+    schedule = ThresholdSchedule(4 * estimators.default_lambda0(X, Y, s, s0), 0.8, 0.02)
+    het = SparsityBudget.heterogeneous(m, d, s, s * s0 + 1, s0=s0)
+
+    def solve_both():
+        return [estimators.dsiht(X, Y, hard, schedule, truth=truth),
+                estimators.dsiht_heterogeneous(X, Y, het, schedule, truth=truth)]
+
+    unpatched = solve_both()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a support helper was called")
+
+    monkeypatch.setattr(estimators, "support_of", refuse)
+    monkeypatch.setattr(estimators, "excess_support", refuse)
+    monkeypatch.setattr(core, "support_of", refuse)
+    for (beta_hat, trace), (ref_hat, ref) in zip(solve_both(), unpatched):
+        assert _bits(beta_hat) == _bits(ref_hat)
+        assert [_bits(b) for b in trace.betas] == [_bits(b) for b in ref.betas]
+        assert _bits(trace.lambdas) == _bits(ref.lambdas)
+        assert _bits(trace.errors) == _bits(ref.errors)
+        for key in ("excess_sizes", "excess_admissible", "bound_held"):
+            assert getattr(trace, key) == getattr(ref, key), key
+        assert set(trace.excess_admissible) == {True, False}
+
+
+@pytest.mark.parametrize("mode", ["hard", "heterogeneous"])
+def test_standing_iterate_keeps_its_trace_fields(mode):
+    # with X = sqrt(n) [I; 0] the gradient step is the same matrix V at every
+    # iterate, so the iterate stands still between the lambdas that cross an
+    # entry of V. Two off-truth entries share column 1: once both enter, the
+    # excess support is outside the budget while the iterate stands
+    m, d, n = 3, 4, 12
+    V = np.zeros((d, m))
+    V[0, 0], V[1, 1], V[2, 1] = 3.0, 2.0, -2.0
+    truth = np.zeros(m * d)
+    truth[0] = 3.0
+    X = simulate.gen_design(n, m * d, "identity_scaled", 0)
+    Y = X @ V.ravel(order="F")
+    if mode == "hard":
+        budget, solver = SparsityBudget.hard(m, d, 2, 1), estimators.dsiht
+    else:
+        budget = SparsityBudget.heterogeneous(m, d, 1, 1, s0=1)
+        solver = estimators.dsiht_heterogeneous
+    _, trace = solver(X, Y, budget, ThresholdSchedule(4.0, 0.8, 0.5), truth=truth)
+
+    standing_outside = 0
+    for t, beta in enumerate(trace.betas):
+        rows, cols = np.nonzero(beta.reshape((d, m), order="F"))
+        excess = SupportSet(frozenset(zip(rows.tolist(), cols.tolist())) - {(0, 0)})
+        fits = (excess.in_hard_class(budget.s, budget.s0) if mode == "hard"
+                else excess.in_heterogeneous_class(budget.s, budget.s_prime))
+        err = float(np.linalg.norm(beta - truth))
+        assert (trace.errors[t], trace.excess_sizes[t], trace.excess_admissible[t]) == (
+            err, len(excess), fits)
+        bound = trace.bound_constant * math.sqrt(budget.s * budget.s0) * trace.lambdas[t]
+        assert trace.bound_held[t] == (err <= bound)
+        if t and _bits(beta) == _bits(trace.betas[t - 1]) and not fits:
+            standing_outside += 1
+    assert standing_outside >= 2
 
 
 class CountingDesign(np.ndarray):

@@ -106,6 +106,28 @@ def test_oracle_matches_fast_path_on_tie_grids():
     assert edges == {"none", "full"}
 
 
+def test_outcome_fields_are_read_only_and_built_from_masks():
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(tie_grids())
+    def check(case):
+        U, lam, s, s0 = case
+        # the column condition reads the entrywise stage's output; on the
+        # half-integer lattice every squared mass is exact
+        W = np.where(np.abs(U.values) >= lam, U.values, 0.0)
+        passing = frozenset(np.flatnonzero(np.sum(W * W, axis=0) >= s0 * lam * lam).tolist())
+        het = SparsityBudget.heterogeneous(U.cols, U.rows, s, s * s0, s0=s0)
+        for out in (threshold.apply(U, lam, hard(U.cols, U.rows, s, s0)),
+                    threshold.apply_heterogeneous(U, lam, het)):
+            assert out.selected_columns == passing
+            assert np.array_equal(out.selected_mask, np.isin(np.arange(U.cols), list(passing)))
+            for arr in (out.result.values, out.active_mask, out.selected_mask):
+                assert not arr.flags.writeable
+                with pytest.raises(ValueError, match="read-only"):
+                    arr[...] = 0
+
+    check()
+
+
 def test_heterogeneous_matches_oracle():
     rng = stream(44)
     budget = SparsityBudget.heterogeneous(8, 6, 2, s_prime=4)
