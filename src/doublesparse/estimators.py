@@ -243,6 +243,7 @@ def dsiht(
     iterate that comes out of the operator unchanged, bit for bit, reuses its
     gradient step; so does the zero phase while lam is still above every
     signal entry. Only a nonzero ``beta0`` costs a dense forward product.
+    The loop copies no array at the operator boundary; see ``_iterate``.
     """
     if budget.mode != "hard":
         raise ValueError("dsiht expects a hard-mode budget")
