@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import asdict, dataclass
 from itertools import combinations
 
@@ -37,9 +38,13 @@ NOISE_EVENT_CONSTANT = 10.0
 
 _EXHAUSTIVE_GUARD = 10**5
 # working bytes per chunk of supports: gathered rows, Gram matrices, the
-# inertia-test stack and the chunk's column union with its Gram matrix
+# inertia-test stack and the chunk's column union with its Gram matrix; also
+# per block of interval-table rows and per chunk of interval reads
 _CHUNK_BYTES = 1 << 22
 _DEGENERATE_TOL = 1e-12
+# an exhaustive enumeration seeds u_s and l_s with the exact eigenvalues of
+# this many supports of highest interval top and as many of lowest bottom
+_SEED = 16
 
 
 @dataclass(frozen=True)
@@ -63,12 +68,26 @@ class DsripReport:
         return json.dumps(asdict(self))
 
 
+def _combinations(n, k) -> np.ndarray:
+    """``combinations(range(n), k)`` as a (count, k) intp array, in the same
+    order, built a column at a time."""
+    out = np.zeros((1, 0), dtype=np.intp)
+    for col in range(k):
+        last = out[:, -1] if col else np.full(1, -1)
+        counts = n - k + col - last  # next entry from last + 1 to n - k + col
+        before = np.repeat(np.cumsum(counts) - counts, counts)
+        rows = np.repeat(np.arange(out.shape[0]), counts)
+        nxt = np.repeat(last + 1, counts) + np.arange(rows.size) - before
+        out = np.column_stack([out[rows], nxt])
+    return out
+
+
 def _support_indices(m, d, s, s0) -> np.ndarray:
     """Every support with s occupied columns of s0 entries each, one per row
     of a (count, s*s0) index array, in ``combinations(cols) x product(row
     subsets)`` order. Entry (i, j) is X-column d*j + i."""
-    col_sets = np.array(list(combinations(range(m), s)), dtype=np.intp)
-    row_sets = np.array(list(combinations(range(d), s0)), dtype=np.intp)
+    col_sets = _combinations(m, s)
+    row_sets = _combinations(d, s0)
     # one row subset per occupied column, last column varying fastest
     choice = np.indices((row_sets.shape[0],) * s).reshape(s, -1).T
     idx = d * col_sets[:, None, :, None] + row_sets[choice][None, :, :, :]
@@ -105,6 +124,12 @@ def _positive_definite(A) -> np.ndarray:
         return np.all(A[range(k), range(k)] > 0.0, axis=0)
 
 
+def _margin(k, n, c2) -> float:
+    """The margin M = 8 k (n + k^2) eps c^2 of :func:`_extreme_eigs` for
+    supports of k columns of length n."""
+    return 8.0 * k * (n + k * k) * np.finfo(float).eps * c2
+
+
 def _settled(XT, supports, u_s, l_s) -> np.ndarray:
     """Per row of ``supports``: whether its Gram matrix, gathered from the
     Gram matrix of the rows' column union, is certified by LDL^T inertia
@@ -120,8 +145,7 @@ def _settled(XT, supports, u_s, l_s) -> np.ndarray:
     local = np.ascontiguousarray(local.T)
     XU = XT[union]
     gram = XU @ XU.T
-    c2 = max(float(gram.diagonal().max()), u_s / k)
-    margin = 8.0 * k * (XT.shape[1] + k * k) * np.finfo(float).eps * c2
+    margin = _margin(k, XT.shape[1], max(float(gram.diagonal().max()), u_s / k))
     G = gram[local[:, None], local[None, :]]  # k x k x count
     diag = np.arange(k)
     # both tests on one stack; no support lowers l_s past its clamp at 0
@@ -132,23 +156,128 @@ def _settled(XT, supports, u_s, l_s) -> np.ndarray:
     return below & (above | (l_s == 0.0)) & nondegenerate
 
 
-def _extreme_eigs(X, idx):
-    """(u_s, l_s, degenerate) over the supports in the rows of ``idx``.
+def _support_intervals(XT, m, d, s, s0) -> np.ndarray:
+    """A 3 x count array whose columns are, per support of
+    ``_support_indices(m, d, s, s0)``, the mean eigenvalue of its Gram
+    matrix G and the lower and upper end of the interval mean -+ sqrt(k - 1)
+    sd that holds all of them, with sd^2 = (||G||_F^2 - tr(G)^2 / k) / k and
+    the radicand inflated by its rounding bound (see :func:`_extreme_eigs`).
+    ``XT`` is X^T, C-contiguous.
 
-    Supports run in chunks. The first chunk's supports are all
-    eigendecomposed, which seeds u_s and l_s. In each later chunk, the
-    supports that :func:`_settled` certifies cannot raise u_s, lower l_s or
-    count as degenerate are skipped; the rest get their rows gathered, their
-    own Gram matrix G formed and one stacked eigvalsh, exactly as if every
-    support were decomposed. Only those exact values move u_s, l_s and the
-    count, so the result is that of an eigvalsh on every support, bit for
-    bit. u_s only grows and l_s only shrinks, so certifying against the
-    running values is enough.
+    No support's G is formed. Both moments are sums over tables indexed by
+    row subset rho: per column c, the trace, the squared-diagonal sum and
+    the off-diagonal squared mass of the rho x rho block of X_c^T X_c; per
+    column pair (c, c'), the cross mass (I (G_cc' o G_cc') I^T)[rho, rho'],
+    with G_cc' = X_c^T X_c' and I the row-subset indicator. The pair tables
+    come from blocks of rows of X^T X and the supports read the tables in
+    chunks, both of about ``_CHUNK_BYTES``."""
+    n = XT.shape[1]
+    k = s * s0
+    row_sets = _combinations(d, s0)
+    r = row_sets.shape[0]
+    XT3 = XT.reshape(m, d, n)
+    diag = np.einsum("cin,cin->ci", XT3, XT3)
+    trace = diag[:, row_sets].sum(axis=2)
+    mass = (diag * diag)[:, row_sets].sum(axis=2)
+    if s0 > 1:  # each off-diagonal entry once, counted twice
+        H = XT3 @ XT3.transpose(0, 2, 1)
+        H *= H
+        for a, b in combinations(range(s0), 2):
+            mass += 2.0 * H[:, row_sets[:, a], row_sets[:, b]]
+    if s > 1:  # pairs (c, c') in lexicographic order, m - c - 1 per column c
+        cross = np.empty((m * (m - 1) // 2, r, r))
+        step = max(1, _CHUNK_BYTES // (8 * m * (2 * d * d + d * r + r * r)))
+        done = 0
+        for c0 in range(0, m - 1, step):
+            c1 = min(m - 1, c0 + step)
+            G = XT[c0 * d:c1 * d] @ XT[c0 * d:].T
+            first, second = np.triu_indices(c1 - c0, 1, m - c0)
+            H = G.reshape(c1 - c0, d, m - c0, d)[first, :, second, :]
+            H *= H
+            H = sum(H[:, :, row_sets[:, b]] for b in range(s0))  # rows x subsets
+            cross[done:done + first.size] = sum(H[:, row_sets[:, a]] for a in range(s0))
+            done += first.size
+    sets = _combinations(m, s)
+    # the radicand's rounding: ||G||_F^2 sums k^2 rounded squares and
+    # tr^2 / k squares a sum of k terms
+    slack = 2.0 * (k * k + 2 * k + 4) * np.finfo(float).eps / k
+    out = np.empty((3, sets.shape[0]) + (r,) * s)
+    # each column set's supports form an r x ... x r grid, row subsets in
+    # support order, and each table broadcasts along its own axes of it;
+    # the grids' rows of ``out`` hold the moments until the interval is known
+    step = max(1, _CHUNK_BYTES // (8 * r ** s))
+    for start in range(0, sets.shape[0], step):
+        cols = sets[start:start + step]
+        mean, lower, upper = out[:, start:start + step]
+        axes = [[cols.shape[0]] + [r if j == a else 1 for j in range(s)] for a in range(s)]
+        mean[...] = trace[cols[:, 0]].reshape(axes[0])
+        upper[...] = mass[cols[:, 0]].reshape(axes[0])
+        for a in range(1, s):
+            mean += trace[cols[:, a]].reshape(axes[a])
+            upper += mass[cols[:, a]].reshape(axes[a])
+        for a, b in combinations(range(s), 2):
+            pair = cols[:, a] * (2 * m - cols[:, a] - 1) // 2 + cols[:, b] - cols[:, a] - 1
+            upper += 2.0 * cross[pair].reshape(np.maximum(axes[a], axes[b]))
+        np.multiply(mean, mean / k, out=lower)  # tr^2 / k, with ||G||_F^2 in upper
+        radius = (upper - lower) / k
+        upper += lower
+        radius += slack * upper
+        np.sqrt(radius, out=radius)
+        radius *= math.sqrt(k - 1)
+        mean /= k
+        np.subtract(mean, radius, out=lower)
+        np.add(mean, radius, out=upper)
+    return out.reshape(3, -1)
+
+
+def _certified(intervals, u_s, l_s, margin) -> np.ndarray:
+    """Per column (mean, lower, upper) of ``intervals``: whether it shows, as
+    :func:`_settled` does, that the support cannot raise u_s, lower l_s or
+    count as degenerate: upper < u_s - M, lower > l_s + M unless l_s = 0,
+    and the mean, a lower bound on lambda_max, above the degeneracy
+    tolerance plus M."""
+    mean, lower, upper = intervals
+    certified = (upper < u_s - margin) & (mean > _DEGENERATE_TOL + margin)
+    return certified & ((lower > l_s + margin) | (l_s == 0.0))
+
+
+def _decompose(XT, supports, u_s, l_s, degenerate):
+    """(u_s, l_s, degenerate) moved by the Gram matrices of the rows of
+    ``supports``: their rows gathered, their Gram matrices formed and one
+    stacked eigvalsh."""
+    Xs = XT[supports]
+    eigs = np.linalg.eigvalsh(Xs @ Xs.transpose(0, 2, 1))
+    top = eigs[:, -1]
+    return (
+        max(u_s, float(top.max())),
+        min(l_s, max(float(eigs[:, 0].min()), 0.0)),
+        degenerate + int(np.count_nonzero(top < _DEGENERATE_TOL)),
+    )
+
+
+def _extreme_eigs(X, idx, grid):
+    """(u_s, l_s, degenerate) over the supports in the rows of ``idx``.
+    ``grid`` is (m, d, s, s0) when ``idx`` is ``_support_indices(*grid)``,
+    an exhaustive enumeration, and None otherwise.
+
+    A few supports are eigendecomposed first, which seeds u_s and l_s: in an
+    enumeration, the _SEED supports with the highest upper ends and the
+    _SEED with the lowest lower ends of their :func:`_support_intervals`,
+    and otherwise the first chunk. The other supports run in chunks. In each,
+    the supports whose interval (in an enumeration) or :func:`_settled`
+    certifies that they cannot raise u_s, lower l_s or count as degenerate
+    are skipped; the rest get their rows gathered, their own Gram matrix G
+    formed and one stacked eigvalsh, exactly as if every support were
+    decomposed. Only those exact values move u_s, l_s and the count, so the
+    result is that of an eigvalsh on every support, bit for bit. u_s only
+    grows and l_s only shrinks, so certifying against the running values is
+    enough. An enumeration first drops every support its interval certifies
+    against the seeded values, so its chunks hold only supports left to test.
 
     The margin M = 8 k (n + k^2) eps c^2 covers the sum of three errors,
     each at most a few k (n + k^2) eps c^2, where c^2 is the larger of the
-    largest squared norm of a column in the chunk's union and u_s / k, so
-    that u_s <= k c^2:
+    largest squared norm of a column in the chunk's union (of any column,
+    for the interval below) and u_s / k, so that u_s <= k c^2:
 
     - the certified matrix G~ and G are length-n dot products summed in two
       orders, each entry within gamma_n |x_u| |x_v| <= gamma_n c^2 of the
@@ -163,6 +292,25 @@ def _extreme_eigs(X, idx):
 
     The diagonal test needs only the first two: an eigvalsh top eigenvalue
     is at least G's largest diagonal entry less both errors.
+
+    In an enumeration the interval of :func:`_support_intervals` stands in
+    for the LDL^T tests, with G~ the symmetric matrix of the Gram entries
+    its tables are built from (each off-diagonal entry computed once), so
+    the first two errors are as above. Wolkowicz & Styan (1980, "Bounds for
+    eigenvalues using traces", Linear Algebra Appl. 29) put every
+    eigenvalue of a symmetric k x k matrix within mean -+ sqrt(k - 1) sd,
+    where mean = tr / k and sd^2 = ||.||_F^2 / k - mean^2, and the mean is
+    at most lambda_max. Rounding in the tables and the interval:
+
+    - the mean and the radius are sums, products and a square root of a few
+      k terms, each off by at most about k eps c^2, within M's third term;
+    - sd^2 = (S - tr^2 / k) / k, with S = ||G~||_F^2, subtracts two nearly
+      equal numbers when the eigenvalues are close. S sums k^2 rounded
+      squares of nonnegative terms and tr^2 / k squares a sum of k, so the
+      computed radicand is within gamma_{k^2+2k+4} (S + tr^2 / k) / k of the
+      exact one. Its square root would turn that error of order eps into
+      one of order sqrt(eps), so the radicand is inflated by twice the bound
+      before the root is taken.
     """
     rows = slice(None)
     if idx.size < X.size:  # finding the union is cheaper than copying X
@@ -171,7 +319,7 @@ def _extreme_eigs(X, idx):
             rows, idx = union, local
     XT = np.ascontiguousarray(X.T[rows])
     p, n = XT.shape
-    k = idx.shape[1]
+    count, k = idx.shape
     # a support's gathered k x n rows and about six k x k matrices (Gram
     # matrices, its share of the inertia-test stack and temporaries), plus
     # the rows and Gram matrix of the chunk's column union, which is used
@@ -179,21 +327,34 @@ def _extreme_eigs(X, idx):
     per_support = 8 * k * (n + 6 * k)
     union_cap = min(p, k * math.isqrt(max(1, _CHUNK_BYTES // per_support)))
     chunk = max(1, (_CHUNK_BYTES - 8 * union_cap * (n + union_cap)) // per_support)
-    u_s = -math.inf
-    l_s = math.inf
-    degenerate = 0
-    for start in range(0, idx.shape[0], chunk):
-        supports = idx[start:start + chunk]
-        if start:  # the first chunk seeds the thresholds
-            supports = supports[~_settled(XT, supports, u_s, l_s)]
-            if not supports.shape[0]:
+    intervals = None
+    seed = np.arange(min(chunk, count))
+    if grid is not None:
+        intervals = _support_intervals(XT, *grid)
+        norm2 = float(np.einsum("ij,ij->i", XT, XT).max())
+        width = max(1, min(_SEED, chunk // 2))
+        if count > 2 * width:
+            seed = np.union1d(
+                np.argpartition(intervals[2], -width)[-width:],
+                np.argpartition(intervals[1], width)[:width],
+            )
+    u_s, l_s, degenerate = _decompose(XT, idx[seed], -math.inf, math.inf, 0)
+    pending = np.ones(count, dtype=bool)
+    pending[seed] = False
+    if intervals is not None:  # drop what the seeded values already settle
+        pending &= ~_certified(intervals, u_s, l_s, _margin(k, n, max(norm2, u_s / k)))
+    rest = np.flatnonzero(pending)
+    for start in range(0, rest.size, chunk):
+        picks = rest[start:start + chunk]
+        if intervals is not None:
+            margin = _margin(k, n, max(norm2, u_s / k))
+            picks = picks[~_certified(intervals[:, picks], u_s, l_s, margin)]
+            if not picks.size:
                 continue
-        Xs = XT[supports]
-        eigs = np.linalg.eigvalsh(Xs @ Xs.transpose(0, 2, 1))
-        top = eigs[:, -1]
-        degenerate += int(np.count_nonzero(top < _DEGENERATE_TOL))
-        u_s = max(u_s, float(top.max()))
-        l_s = min(l_s, max(float(eigs[:, 0].min()), 0.0))
+        supports = idx[picks]
+        supports = supports[~_settled(XT, supports, u_s, l_s)]
+        if supports.shape[0]:
+            u_s, l_s, degenerate = _decompose(XT, supports, u_s, l_s, degenerate)
     return u_s, l_s, degenerate
 
 
@@ -230,14 +391,30 @@ def dsrip(
     (all of them when N*k is at least the size of X, as in exhaustive
     enumeration). Supports are processed in chunks of about 4 MiB of
     working arrays, so working memory beyond the index array does not grow
-    with N. A chunk whose column union has u <= k sqrt(chunk) columns, as in
-    exhaustive enumeration, costs one O(n*u^2) union Gram product and
-    O(k^3) per support for two LDL^T inertia tests; only the supports these
-    cannot settle, the ones that could move an extreme or be degenerate,
-    get the exact path: a k x n row gather, an O(n*k^2) Gram product and an
-    O(k^3) eigendecomposition, one stacked ``eigvalsh`` per chunk. The first
-    chunk, and every support of a chunk with a larger union (Monte-Carlo
-    supports over many columns), take the exact path.
+    with N.
+
+    Exhaustive enumeration first builds tables over the r = C(d, s0) row
+    subsets from X^T X: per column, from its d x d block, and per column
+    pair, from its d x d cross block, O(n p^2) for the blocks in all. The
+    cross blocks come from blocks of rows of X^T X of about 4 MiB, so the
+    p x p Gram matrix is never held whole once it is larger than that. Each
+    support then reads O(s^2) table entries, which give an interval holding
+    all its eigenvalues; the 16 supports with the highest interval tops and
+    the 16 with the lowest bottoms are eigendecomposed first, and every
+    support whose interval then shows that it cannot move an extreme or be
+    degenerate is settled.
+    On Gaussian designs that is most of them. The rest, and every chunk of
+    ``monte_carlo`` supports after the first, go to two LDL^T inertia tests
+    when the chunk's column union has u <= k sqrt(chunk) columns, as in
+    exhaustive enumeration: one O(n*u^2) union Gram product per chunk and
+    O(k^3) per support. Only the supports these cannot settle, and every
+    support of a chunk with a larger union (Monte-Carlo supports over many
+    columns), get the exact path: a k x n row gather, an O(n*k^2) Gram
+    product and an O(k^3) eigendecomposition, one stacked ``eigvalsh`` per
+    chunk. The first ``monte_carlo`` chunk takes the exact path too.
+
+    ``trials`` is required for ``monte_carlo``, as a positive integer, and
+    is recorded in the report as an int.
     """
     X = _checked_design(X, m, d, s, s0)
     if method == "exhaustive":
@@ -247,18 +424,23 @@ def dsrip(
                 f"instance too large for exhaustive enumeration: {count} supports"
             )
         idx = _support_indices(m, d, s, s0)
+        grid = (m, d, s, s0)
         flagged = False
         trials_out = None
     elif method == "monte_carlo":
-        if not trials or trials < 1:
-            raise ValueError("monte_carlo requires a positive trial count")
+        if isinstance(trials, bool) or not isinstance(trials, numbers.Integral) or trials < 1:
+            raise ValueError(
+                f"trials must be a positive integer for method 'monte_carlo', got {trials!r}"
+            )
+        trials = int(trials)
         rng = stream(seed)
         idx = np.array([_sample_support(rng, m, d, s, s0) for _ in range(trials)])
+        grid = None
         flagged = True
         trials_out = trials
     else:
         raise ValueError(f"unknown method {method!r}")
-    u_s, l_s, degenerate = _extreme_eigs(X, idx)
+    u_s, l_s, degenerate = _extreme_eigs(X, idx, grid)
 
     delta = 1.0 - l_s / u_s if u_s > _DEGENERATE_TOL else 1.0
     delta = min(max(delta, 0.0), 1.0)

@@ -177,6 +177,10 @@ def _designs():
     rng = stream(20)
     for m, d, s, s0, n in [(4, 4, 2, 2, 30), (5, 3, 2, 1, 12), (3, 6, 2, 3, 50)]:
         yield m, d, s, s0, simulate.gen_design(n, m * d, "gaussian_iid", rng)
+    # many column sets with one row subset each, s = 1, s = 3 and s0 = d
+    for m, d, s, s0, n in [(20, 1, 2, 1, 10), (12, 2, 2, 1, 12), (6, 4, 1, 2, 10),
+                           (5, 3, 3, 1, 20), (5, 3, 2, 3, 12)]:
+        yield m, d, s, s0, simulate.gen_design(n, m * d, "gaussian_iid", rng)
     yield 4, 4, 2, 2, simulate.gen_design(16, 16, "identity_scaled", rng)
     X = simulate.gen_design(30, 8, "gaussian_iid", rng)
     X[:, 1] = X[:, 0]
@@ -205,14 +209,23 @@ def test_dsrip_matches_per_support_loop(monkeypatch, chunk_bytes, method):
         assert rep.delta_s == min(max(delta, 0.0), 1.0)
 
 
+# many column sets, each with a single row subset
+WIDE_GRIDS = [(20, 1, 2, 1), (12, 2, 2, 1)]
+
+
+@st.composite
+def small_grids(draw):
+    m, d = draw(st.integers(1, 5)), draw(st.integers(1, 4))
+    return m, d, draw(st.integers(1, min(m, 3))), draw(st.integers(1, min(d, 3)))
+
+
 @st.composite
 def dsrip_cases(draw):
-    """A small grid and a design that stresses the certified skipping: exact
-    ties from integer entries, duplicated and all-zero columns, column scales
-    over six decades, supports whose Gram matrices are permutations of one
-    another, and n below the support size."""
-    m, d = draw(st.integers(1, 5)), draw(st.integers(1, 4))
-    s, s0 = draw(st.integers(1, min(m, 3))), draw(st.integers(1, min(d, 3)))
+    """A grid, small or with many column sets, and a design that stresses the
+    certified skipping: exact ties from integer entries, duplicated and
+    all-zero columns, column scales over six decades, supports whose Gram
+    matrices are permutations of one another, and n below the support size."""
+    m, d, s, s0 = draw(st.one_of(small_grids(), st.sampled_from(WIDE_GRIDS)))
     n, p = draw(st.integers(1, 14)), m * d
     rng = stream(draw(st.integers(0, 2**32 - 1)))
     kind = draw(st.sampled_from(
@@ -246,6 +259,42 @@ def test_dsrip_certified_skipping_matches_per_support_loop(case):
     else:
         supports = _sampled_supports(seed, trials, m, d, s, s0)
     assert (rep.u_s, rep.l_s, rep.degenerate_supports) == _extreme_eigs_loop(X, supports)
+
+
+def _assert_intervals_hold(X, m, d, s, s0):
+    # every eigvalsh eigenvalue of each support's own Gram matrix lies in its
+    # table interval widened by the margin M the settling test subtracts, and
+    # the mean is at most the top eigenvalue plus M
+    XT = np.ascontiguousarray(X.T)
+    mean, lower, upper = diagnostics._support_intervals(XT, m, d, s, s0)
+    Xs = XT[diagnostics._support_indices(m, d, s, s0)]
+    eigs = np.linalg.eigvalsh(Xs @ Xs.transpose(0, 2, 1))
+    c2 = float(np.einsum("ij,ij->j", X, X).max())
+    margin = diagnostics._margin(s * s0, X.shape[0], c2)
+    assert np.all(lower[:, None] - margin <= eigs)
+    assert np.all(eigs <= upper[:, None] + margin)
+    assert np.all(mean <= eigs[:, -1] + margin)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(dsrip_cases())
+def test_support_intervals_hold_every_eigenvalue(case):
+    m, d, s, s0, X, _, _, _, chunk_bytes = case
+    with mock.patch.object(diagnostics, "_CHUNK_BYTES", chunk_bytes):
+        _assert_intervals_hold(X, m, d, s, s0)
+
+
+@pytest.mark.parametrize("m,d,s,s0", [(4, 4, 2, 2), (3, 5, 3, 2), (6, 2, 1, 2), (5, 3, 2, 3)])
+@pytest.mark.parametrize("bump", [0.0, 2.0**-17])
+def test_support_intervals_hold_when_sd_is_about_zero(m, d, s, s0, bump):
+    # sqrt(n) [I; 0] has sd = 0 on every support; a row of tiny equal
+    # entries adds bump^2 to every Gram entry, so each support's eigenvalues
+    # are n + k bump^2 once and n otherwise: the interval's top is attained,
+    # and the spread is below the rounding of ||G||_F^2
+    p = m * d
+    X = simulate.gen_design(p + 3, p, "identity_scaled", stream(30))
+    X[p] = bump
+    _assert_intervals_hold(X, m, d, s, s0)
 
 
 def test_union_matches_unique():
@@ -289,6 +338,45 @@ def test_most_supports_skip_eigendecomposition(monkeypatch):
     Xs = np.ascontiguousarray(X.T)[idx]
     eigs = np.linalg.eigvalsh(Xs @ Xs.transpose(0, 2, 1))
     assert (rep.u_s, rep.l_s) == (eigs[:, -1].max(), eigs[:, 0].min())
+
+
+def test_most_supports_never_reach_the_inertia_tests(monkeypatch):
+    # on the design of test_most_supports_skip_eigendecomposition, the table
+    # intervals settle at least half of the 47 040 supports before any LDL^T
+    X = simulate.gen_design(100, 48, "gaussian_iid", stream(27))
+    settled = diagnostics._settled
+    tested = []
+    monkeypatch.setattr(
+        diagnostics, "_settled",
+        lambda XT, supports, *args: tested.append(len(supports)) or settled(XT, supports, *args),
+    )
+    diagnostics.dsrip(X, 6, 8, 2, 3)
+    assert 0 < sum(tested) <= 47040 // 2
+
+
+@pytest.mark.parametrize("n,k", [(1, 1), (4, 2), (6, 3), (7, 7), (9, 1), (9, 4), (250, 2)])
+def test_combinations_match_itertools(n, k):
+    out = diagnostics._combinations(n, k)
+    assert out.dtype == np.intp
+    assert out.shape == (math.comb(n, k), k)
+    assert out.tolist() == [list(c) for c in combinations(range(n), k)]
+
+
+def test_monte_carlo_trials_numpy_integer_is_stored_as_int():
+    X = simulate.gen_design(20, 16, "gaussian_iid", stream(31))
+    rep = diagnostics.dsrip(X, 4, 4, 2, 2, method="monte_carlo", trials=np.int64(3))
+    assert type(rep.trials) is int and rep.trials == 3
+    assert '"trials": 3' in rep.to_json()
+    assert rep == diagnostics.dsrip(X, 4, 4, 2, 2, method="monte_carlo", trials=3)
+
+
+@pytest.mark.parametrize("trials", [True, False, 2.5, 0, -1, None, "3", np.float64(3.0)])
+def test_monte_carlo_rejects_trials_that_are_not_a_positive_integer(trials):
+    X = simulate.gen_design(20, 16, "gaussian_iid", stream(32))
+    message = f"trials must be a positive integer for method 'monte_carlo', got {trials!r}"
+    with pytest.raises(ValueError) as err:
+        diagnostics.dsrip(X, 4, 4, 2, 2, method="monte_carlo", trials=trials)
+    assert str(err.value) == message
 
 
 @pytest.mark.parametrize("method", ["exhaustive", "monte_carlo"])

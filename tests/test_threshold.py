@@ -187,6 +187,19 @@ def test_idempotent_on_own_output():
         assert np.array_equal(once.values, twice.values)
 
 
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(tie_grids())
+def test_heterogeneous_idempotent_on_tie_grids(case):
+    # without the row condition, a second pass at the same level keeps every
+    # entry of the first: the variant is idempotent, unlike the hard mode
+    # pinned by test_hard_mode_not_idempotent
+    U, lam, s, s0 = case
+    budget = SparsityBudget.heterogeneous(U.cols, U.rows, s, s * s0, s0=s0)
+    once = threshold.apply_heterogeneous(U, lam, budget)
+    twice = threshold.apply_heterogeneous(once.result, lam, budget)
+    assert np.array_equal(twice.result.values, once.result.values)
+
+
 def test_hard_mode_not_idempotent():
     # the row cut drops the tied column 0, after which no rank reaches
     # s * lam^2 and the second pass keeps nothing: not a projection
