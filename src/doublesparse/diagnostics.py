@@ -262,8 +262,8 @@ def _extreme_eigs(X, idx, grid):
 
     A few supports are eigendecomposed first, which seeds u_s and l_s: in an
     enumeration, the _SEED supports with the highest upper ends and the
-    _SEED with the lowest lower ends of their :func:`_support_intervals`,
-    and otherwise the first chunk. The other supports run in chunks. In each,
+    _SEED with the lowest lower ends of their :func:`_support_intervals`
+    (at most half a chunk each), and otherwise the first chunk. The other supports run in chunks. In each,
     the supports whose interval (in an enumeration) or :func:`_settled`
     certifies that they cannot raise u_s, lower l_s or count as degenerate
     are skipped; the rest get their rows gathered, their own Gram matrix G
