@@ -261,9 +261,10 @@ def _extreme_eigs(X, idx, grid):
     an exhaustive enumeration, and None otherwise.
 
     A few supports are eigendecomposed first, which seeds u_s and l_s: in an
-    enumeration, the _SEED supports with the highest upper ends and the
-    _SEED with the lowest lower ends of their :func:`_support_intervals`
-    (at most half a chunk each), and otherwise the first chunk. The other supports run in chunks. In each,
+    enumeration of more than 2 * _SEED supports, the _SEED with the highest
+    upper ends and the _SEED with the lowest lower ends of their
+    :func:`_support_intervals` (at most half a chunk each), and otherwise
+    the first chunk. The other supports run in chunks. In each,
     the supports whose interval (in an enumeration) or :func:`_settled`
     certifies that they cannot raise u_s, lower l_s or count as degenerate
     are skipped; the rest get their rows gathered, their own Gram matrix G
@@ -329,15 +330,14 @@ def _extreme_eigs(X, idx, grid):
     chunk = max(1, (_CHUNK_BYTES - 8 * union_cap * (n + union_cap)) // per_support)
     intervals = None
     seed = np.arange(min(chunk, count))
-    if grid is not None:
+    width = max(1, min(_SEED, chunk // 2))
+    if grid is not None and count > 2 * width:
         intervals = _support_intervals(XT, *grid)
         norm2 = float(np.einsum("ij,ij->i", XT, XT).max())
-        width = max(1, min(_SEED, chunk // 2))
-        if count > 2 * width:
-            seed = np.union1d(
-                np.argpartition(intervals[2], -width)[-width:],
-                np.argpartition(intervals[1], width)[:width],
-            )
+        seed = np.union1d(
+            np.argpartition(intervals[2], -width)[-width:],
+            np.argpartition(intervals[1], width)[:width],
+        )
     u_s, l_s, degenerate = _decompose(XT, idx[seed], -math.inf, math.inf, 0)
     pending = np.ones(count, dtype=bool)
     pending[seed] = False
@@ -387,7 +387,8 @@ def dsrip(
     supports. ``monte_carlo`` samples supports uniformly instead.
 
     Cost: with k = s*s0 and N supports (the enumerated count, or ``trials``),
-    O(N*k) index storage and one copy of the rows of X^T the supports use
+    O(N*k) index storage (and three floats per support for the intervals of
+    an enumeration) and one copy of the rows of X^T the supports use
     (all of them when N*k is at least the size of X, as in exhaustive
     enumeration). Supports are processed in chunks of about 4 MiB of
     working arrays, so working memory beyond the index array does not grow
