@@ -43,8 +43,9 @@ _EXHAUSTIVE_GUARD = 10**5
 _CHUNK_BYTES = 1 << 22
 _DEGENERATE_TOL = 1e-12
 # an exhaustive enumeration seeds u_s and l_s with the exact eigenvalues of
-# this many supports of highest interval top and as many of lowest bottom
-_SEED = 16
+# this many supports of highest interval top and as many of lowest bottom;
+# the supports beyond the seeded values are left to the chunks
+_SEED = 64
 
 
 @dataclass(frozen=True)
@@ -154,6 +155,66 @@ def _settled(XT, supports, u_s, l_s) -> np.ndarray:
     below, above = _positive_definite(A).reshape(2, count)
     nondegenerate = G[diag, diag].max(axis=0) > _DEGENERATE_TOL + margin
     return below & (above | (l_s == 0.0)) & nondegenerate
+
+
+def _prefix_settled(XT, grid, u_s, l_s, margin) -> np.ndarray:
+    """Per support of ``_support_indices(*grid)``: whether the two LDL^T
+    inertia tests of :func:`_settled` certify lambda_max < u_s - margin and,
+    while l_s > 0, lambda_min > l_s + margin. The degeneracy test is left to
+    the caller.
+
+    A support's first P = (s - 1) s0 pivots depend only on its prefix: the
+    column set and the row subsets of its first s - 1 columns. Each prefix
+    is eliminated once, on a K x K matrix (K = P + d) that holds the prefix
+    and every row of the last column, from the Gram matrix of the chunk's
+    column union as in :func:`_settled`. The Schur complement's s0 x s0
+    block at each of the r row subsets of the last column then finishes
+    the r supports that extend the prefix. An entry's update at pivot j
+    reads only its own row and column at j and the pivot, so every entry
+    takes the same operations as in :func:`_settled`. The cost is fixed by
+    the grid. None is settled when a prefix matrix is larger than its r
+    supports' own (K^2 > r k^2); in a chunk, when the union's Gram matrix
+    is larger than both the chunk's prefix matrices and ``_CHUNK_BYTES``."""
+    m, d, s, s0 = grid
+    k, P = s * s0, (s - 1) * s0
+    K = P + d
+    row_sets = _combinations(d, s0)
+    r = row_sets.shape[0]
+    R = r ** (s - 1)  # prefixes per column set
+    count = math.comb(m, s) * R
+    settled = np.zeros((count, r), dtype=bool)
+    if K * K > r * k * k:
+        return settled.reshape(-1)
+    sets = _combinations(m, s)
+    prefix = np.indices((r,) * (s - 1)).reshape(s - 1, R)
+    diag = np.arange(K)
+    last = P + row_sets.T
+    # a prefix's two shifted matrices and temporaries, and its leaf blocks
+    step = max(1, _CHUNK_BYTES // (8 * (3 * K * K + 3 * s0 * s0 * r)))
+    for start in range(0, count, step):
+        states = np.arange(start, min(count, start + step))
+        b = states.size
+        cols = sets[states // R]
+        rows = np.concatenate(
+            [d * cols[:, a, None] + row_sets[prefix[a, states % R]] for a in range(s - 1)]
+            + [d * cols[:, -1, None] + np.arange(d)], axis=1)
+        union, local = _union(rows, XT.shape[0])
+        if union.size ** 2 > max(rows.size * K, _CHUNK_BYTES // 8):
+            continue
+        XU = XT[union]
+        gram = XU @ XU.T
+        local = np.ascontiguousarray(local.T)
+        G = gram[local[:, None], local[None, :]]  # K x K x b
+        A = np.concatenate([-G, G], axis=2)
+        A[diag, diag] += np.repeat([u_s - margin, -(l_s + margin)], b)
+        with np.errstate(all="ignore"):  # as in _positive_definite
+            for j in range(P):
+                A[j + 1:, j + 1:] -= A[j + 1:, j, None] * (A[j + 1:, j] / A[j, j])
+            ok = np.all(A[range(P), range(P)] > 0.0, axis=0)
+        leaves = A[last[:, None], last[None, :]]  # s0 x s0 x r x 2b
+        below, above = (_positive_definite(leaves) & ok).reshape(r, 2, b).transpose(1, 0, 2)
+        settled[start:start + b] = (below & (above | (l_s == 0.0))).T
+    return settled.reshape(-1)
 
 
 def _support_intervals(XT, m, d, s, s0) -> np.ndarray:
@@ -273,7 +334,11 @@ def _extreme_eigs(X, idx, grid):
     result is that of an eigvalsh on every support, bit for bit. u_s only
     grows and l_s only shrinks, so certifying against the running values is
     enough. An enumeration first drops every support its interval certifies
-    against the seeded values, so its chunks hold only supports left to test.
+    against the seeded values, and then every support that the LDL^T tests
+    of :func:`_prefix_settled` certify there with a mean above the
+    degeneracy tolerance plus M, so its chunks hold only supports left to
+    test. The prefix tests cost the same for every design of a grid, while
+    the share of supports the intervals settle varies from design to design.
 
     The margin M = 8 k (n + k^2) eps c^2 covers the sum of three errors,
     each at most a few k (n + k^2) eps c^2, where c^2 is the larger of the
@@ -293,6 +358,10 @@ def _extreme_eigs(X, idx, grid):
 
     The diagonal test needs only the first two: an eigvalsh top eigenvalue
     is at least G's largest diagonal entry less both errors.
+
+    :func:`_prefix_settled` computes, entry for entry, the eliminations of
+    :func:`_settled` from a union Gram matrix of the same kind, so the three
+    errors are as above; its c^2 is that of the interval below.
 
     In an enumeration the interval of :func:`_support_intervals` stands in
     for the LDL^T tests, with G~ the symmetric matrix of the Gram entries
@@ -342,7 +411,11 @@ def _extreme_eigs(X, idx, grid):
     pending = np.ones(count, dtype=bool)
     pending[seed] = False
     if intervals is not None:  # drop what the seeded values already settle
-        pending &= ~_certified(intervals, u_s, l_s, _margin(k, n, max(norm2, u_s / k)))
+        margin = _margin(k, n, max(norm2, u_s / k))
+        pending &= ~_certified(intervals, u_s, l_s, margin)
+        if pending.any():
+            pending &= ~(_prefix_settled(XT, grid, u_s, l_s, margin)
+                         & (intervals[0] > _DEGENERATE_TOL + margin))
     rest = np.flatnonzero(pending)
     for start in range(0, rest.size, chunk):
         picks = rest[start:start + chunk]
@@ -400,11 +473,17 @@ def dsrip(
     cross blocks come from blocks of rows of X^T X of about 4 MiB, so the
     p x p Gram matrix is never held whole once it is larger than that. Each
     support then reads O(s^2) table entries, which give an interval holding
-    all its eigenvalues; the 16 supports with the highest interval tops and
-    the 16 with the lowest bottoms are eigendecomposed first, and every
+    all its eigenvalues; the 64 supports with the highest interval tops and
+    the 64 with the lowest bottoms are eigendecomposed first, and every
     support whose interval then shows that it cannot move an extreme or be
-    degenerate is settled.
-    On Gaussian designs that is most of them. The rest, and every chunk of
+    degenerate is settled. Every support of the enumeration then takes the
+    two LDL^T inertia tests with the elimination of its first s - 1 columns
+    shared by the C(d, s0) supports that extend them: per chunk of about
+    4 MiB of prefixes, one O(n*u^2) Gram product of its column union of u
+    columns, then O(P*K^2) per prefix, with P = (s - 1) s0 and K = P + d,
+    and O(s0^3) per support, the same for every design of the grid (skipped
+    when K^2 > C(d, s0) k^2). On Gaussian designs these settle all but a few
+    of the supports. The rest, and every chunk of
     ``monte_carlo`` supports after the first, go to two LDL^T inertia tests
     when the chunk's column union has u <= k sqrt(chunk) columns, as in
     exhaustive enumeration: one O(n*u^2) union Gram product per chunk and

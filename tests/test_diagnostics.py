@@ -297,6 +297,56 @@ def test_support_intervals_hold_when_sd_is_about_zero(m, d, s, s0, bump):
     _assert_intervals_hold(X, m, d, s, s0)
 
 
+def _prefix_cases(X, m, d, s, s0):
+    # thresholds at quantiles of the exact extremes, and l_s = 0; per case
+    # the supports that must be settled and those that must not be
+    XT = np.ascontiguousarray(X.T)
+    Xs = XT[diagnostics._support_indices(m, d, s, s0)]
+    eigs = np.linalg.eigvalsh(Xs @ Xs.transpose(0, 2, 1))
+    top, bottom = eigs[:, -1], eigs[:, 0]
+    c2 = float(np.einsum("ij,ij->j", X, X).max())
+    for qu, ql in [(1.0, 0.0), (0.9, 0.2), (0.5, 0.5), (1.0, None)]:
+        u_s = float(np.quantile(top, qu))
+        l_s = 0.0 if ql is None else max(float(np.quantile(bottom, ql)), 0.0)
+        margin = diagnostics._margin(s * s0, X.shape[0], max(c2, u_s / (s * s0)))
+        inside = (top < u_s - 2 * margin) & ((bottom > l_s + 2 * margin) | (l_s == 0.0))
+        outside = (top >= u_s) | ((bottom <= l_s) & (l_s > 0.0))
+        yield XT, u_s, l_s, margin, inside, outside
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(dsrip_cases())
+def test_prefix_settled_never_settles_a_support_beyond_the_thresholds(case):
+    m, d, s, s0, X, _, _, _, chunk_bytes = case
+    with mock.patch.object(diagnostics, "_CHUNK_BYTES", chunk_bytes):
+        for XT, u_s, l_s, margin, _, outside in _prefix_cases(X, m, d, s, s0):
+            settled = diagnostics._prefix_settled(XT, (m, d, s, s0), u_s, l_s, margin)
+            assert not np.any(settled & outside)
+
+
+@pytest.mark.parametrize("m,d,s,s0", [(6, 8, 2, 3), (5, 3, 3, 1), (5, 4, 3, 2),
+                                      (6, 4, 1, 2), (3, 6, 2, 6), (250, 1, 2, 1)])
+@pytest.mark.parametrize("chunk_bytes", [None, 1])
+def test_prefix_settled_matches_the_exact_eigenvalues(monkeypatch, m, d, s, s0, chunk_bytes):
+    # away from the thresholds the shared-prefix LDL^T tests decide exactly
+    # as the eigenvalues do, on grids with s = 1, s = 3, s0 = d and r = 1,
+    # with every prefix in one chunk or each in its own (a chunk whose
+    # union's Gram matrix outgrows it settles nothing)
+    if chunk_bytes is not None:
+        monkeypatch.setattr(diagnostics, "_CHUNK_BYTES", chunk_bytes)
+    X = simulate.gen_design(40, m * d, "gaussian_iid", stream(33))
+    for XT, u_s, l_s, margin, inside, outside in _prefix_cases(X, m, d, s, s0):
+        settled = diagnostics._prefix_settled(XT, (m, d, s, s0), u_s, l_s, margin)
+        assert np.array_equal(settled[inside | outside], inside[inside | outside])
+
+
+def test_prefix_settled_leaves_every_support_when_a_prefix_outgrows_its_supports():
+    # (12, 2, 2, 1): prefix matrices of 3 x 3 against two supports of 2 x 2
+    X = simulate.gen_design(20, 24, "gaussian_iid", stream(34))
+    settled = diagnostics._prefix_settled(np.ascontiguousarray(X.T), (12, 2, 2, 1), 1e9, 0.0, 0.0)
+    assert settled.shape == (264,) and not settled.any()
+
+
 def test_union_matches_unique():
     rng = stream(28)
     for p, shape in [(48, (633, 6)), (7, (3, 2)), (4000, (40, 6)), (5, (1, 5))]:
@@ -342,16 +392,22 @@ def test_most_supports_skip_eigendecomposition(monkeypatch):
 
 def test_most_supports_never_reach_the_inertia_tests(monkeypatch):
     # on the design of test_most_supports_skip_eigendecomposition, the table
-    # intervals settle at least half of the 47 040 supports before any LDL^T
+    # intervals and the shared-prefix LDL^T tests, run once, leave at most
+    # 2% of the 47 040 supports to the per-chunk tests
     X = simulate.gen_design(100, 48, "gaussian_iid", stream(27))
-    settled = diagnostics._settled
-    tested = []
+    settled, prefix_settled = diagnostics._settled, diagnostics._prefix_settled
+    tested, prefix_calls = [], []
     monkeypatch.setattr(
         diagnostics, "_settled",
         lambda XT, supports, *args: tested.append(len(supports)) or settled(XT, supports, *args),
     )
+    monkeypatch.setattr(
+        diagnostics, "_prefix_settled",
+        lambda *args: prefix_calls.append(args[1]) or prefix_settled(*args),
+    )
     diagnostics.dsrip(X, 6, 8, 2, 3)
-    assert 0 < sum(tested) <= 47040 // 2
+    assert prefix_calls == [(6, 8, 2, 3)]
+    assert 0 < sum(tested) <= 47040 // 50
 
 
 @pytest.mark.parametrize("n,k", [(1, 1), (4, 2), (6, 3), (7, 7), (9, 1), (9, 4), (250, 2)])
