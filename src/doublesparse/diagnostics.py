@@ -45,7 +45,7 @@ _DEGENERATE_TOL = 1e-12
 # an exhaustive enumeration seeds u_s and l_s with the exact eigenvalues of
 # this many supports of highest interval top and as many of lowest bottom;
 # the supports beyond the seeded values are left to the chunks
-_SEED = 64
+_SEED = 128
 
 
 @dataclass(frozen=True)
@@ -473,8 +473,8 @@ def dsrip(
     cross blocks come from blocks of rows of X^T X of about 4 MiB, so the
     p x p Gram matrix is never held whole once it is larger than that. Each
     support then reads O(s^2) table entries, which give an interval holding
-    all its eigenvalues; the 64 supports with the highest interval tops and
-    the 64 with the lowest bottoms are eigendecomposed first, and every
+    all its eigenvalues; the 128 supports with the highest interval tops and
+    the 128 with the lowest bottoms are eigendecomposed first, and every
     support whose interval then shows that it cannot move an extreme or be
     degenerate is settled. Every support of the enumeration then takes the
     two LDL^T inertia tests with the elimination of its first s - 1 columns
