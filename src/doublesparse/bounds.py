@@ -19,7 +19,7 @@ from itertools import combinations, product
 
 import numpy as np
 
-from .core import GroupedMatrix, _check_budget, _check_q
+from .core import GroupedMatrix, _check_budget, _check_noise, _check_q
 
 __all__ = [
     "RateValue",
@@ -58,6 +58,7 @@ class RateValue:
 
 def rate_hard(sigma: float, n: int, m: int, d: int, s: int, s0: int) -> RateValue:
     """(sigma^2/n) * (s*ln(e*m/s) + s*s0*ln(e*d/s0))."""
+    _check_noise(sigma, n)
     _check_budget(m, d, s, s0)
     scale = sigma * sigma / n
     group = scale * s * math.log(math.e * m / s)
@@ -69,6 +70,7 @@ def rate_soft(
     sigma: float, n: int, m: int, d: int, s: int, q: float, rq: float
 ) -> RateValue:
     """(sigma^2/n)*s*ln(e*m/s) + s*rq*(sigma^2*ln(d)/n)^(1-q/2)."""
+    _check_noise(sigma, n)
     if s == 0:
         return RateValue(0.0, 0.0, 0.0, "soft")
     _check_q(q)

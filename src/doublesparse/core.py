@@ -153,13 +153,23 @@ def _check_q(q: float) -> None:
         raise ValueError(f"q must lie in (0, 1], got {q}")
 
 
+def _check_nonnegative(name: str, value: float) -> None:
+    """``value`` must be finite and nonnegative."""
+    if value is None or not (math.isfinite(value) and value >= 0):
+        raise ValueError(f"{name} must be finite and nonnegative, got {value}")
+
+
+def _check_sample_size(n: int) -> None:
+    """The sample size n must be at least 1."""
+    if n is None or not n >= 1:
+        raise ValueError(f"n must be at least 1, got {n}")
+
+
 def _check_noise(sigma: float, n: int) -> None:
     """The noise level sigma must be finite and nonnegative, the sample size
     n at least 1."""
-    if sigma is None or not (math.isfinite(sigma) and sigma >= 0):
-        raise ValueError(f"sigma must be finite and nonnegative, got {sigma}")
-    if n is None or not n >= 1:
-        raise ValueError(f"n must be at least 1, got {n}")
+    _check_nonnegative("sigma", sigma)
+    _check_sample_size(n)
 
 
 def _checked_vector(name: str, value, length: int) -> np.ndarray:

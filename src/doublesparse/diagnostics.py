@@ -8,6 +8,7 @@ import json
 import math
 import numbers
 from dataclasses import asdict, dataclass
+from functools import partial
 from itertools import combinations
 
 import numpy as np
@@ -17,7 +18,9 @@ from .core import (
     _check_budget,
     _check_flat_budget,
     _check_noise,
+    _check_nonnegative,
     _check_q,
+    _check_sample_size,
     _checked_vector,
     stream,
 )
@@ -95,6 +98,20 @@ def _support_indices(m, d, s, s0) -> np.ndarray:
     return idx.reshape(-1, s * s0)
 
 
+def _support_rows(sets, row_sets, d, positions) -> np.ndarray:
+    """Rows ``positions`` of ``_support_indices(m, d, s, s0)``, from
+    ``sets = _combinations(m, s)`` and ``row_sets = _combinations(d, s0)``
+    alone: a position is its column set's rank times r^s (r row subsets)
+    plus its row subsets' ranks as s base-r digits, the last column's
+    lowest."""
+    s = sets.shape[1]
+    r = row_sets.shape[0]
+    rank, digits = np.divmod(positions, r ** s)
+    digits = digits[:, None] // r ** np.arange(s - 1, -1, -1) % r
+    idx = d * sets[rank][:, :, None] + row_sets[digits]
+    return idx.reshape(-1, s * row_sets.shape[1])
+
+
 def _support_count(m, d, s, s0) -> int:
     return math.comb(m, s) * math.comb(d, s0) ** s
 
@@ -157,24 +174,31 @@ def _settled(XT, supports, u_s, l_s) -> np.ndarray:
     return below & (above | (l_s == 0.0)) & nondegenerate
 
 
-def _prefix_settled(XT, grid, u_s, l_s, margin) -> np.ndarray:
+def _prefix_settled(
+    XT, grid, u_s, l_s, margin, open_top=None, open_bottom=None
+) -> np.ndarray:
     """Per support of ``_support_indices(*grid)``: whether the two LDL^T
     inertia tests of :func:`_settled` certify lambda_max < u_s - margin and,
-    while l_s > 0, lambda_min > l_s + margin. The degeneracy test is left to
-    the caller.
+    while l_s > 0, lambda_min > l_s + margin. The upper test runs on the
+    prefixes (below) that hold a support of the bool mask ``open_top``, the
+    lower test on those that hold one of ``open_bottom``, each on every
+    prefix when its mask is None. A support that a test skips counts as
+    passing it, so the caller must know that it would pass, or have no use
+    for it. The degeneracy test is left to the caller.
 
     A support's first P = (s - 1) s0 pivots depend only on its prefix: the
     column set and the row subsets of its first s - 1 columns. Each prefix
-    is eliminated once, on a K x K matrix (K = P + d) that holds the prefix
-    and every row of the last column, from the Gram matrix of the chunk's
-    column union as in :func:`_settled`. The Schur complement's s0 x s0
-    block at each of the r row subsets of the last column then finishes
-    the r supports that extend the prefix. An entry's update at pivot j
-    reads only its own row and column at j and the pivot, so every entry
-    takes the same operations as in :func:`_settled`. The cost is fixed by
-    the grid. None is settled when a prefix matrix is larger than its r
-    supports' own (K^2 > r k^2); in a chunk, when the union's Gram matrix
-    is larger than both the chunk's prefix matrices and ``_CHUNK_BYTES``."""
+    is eliminated once per test, on a K x K matrix (K = P + d) that holds
+    the prefix and every row of the last column, from the Gram matrix of
+    the chunk's column union as in :func:`_settled`. The Schur complement's
+    s0 x s0 block at each of the r row subsets of the last column then
+    finishes the r supports that extend the prefix. An entry's update at
+    pivot j reads only its own row and column at j and the pivot, so every
+    entry takes the same operations as in :func:`_settled`. With both masks
+    None the cost is fixed by the grid. None is settled when a prefix matrix
+    is larger than its r supports' own (K^2 > r k^2); in a chunk, when the
+    union's Gram matrix is larger than both the chunk's prefix matrices and
+    ``_CHUNK_BYTES``."""
     m, d, s, s0 = grid
     k, P = s * s0, (s - 1) * s0
     K = P + d
@@ -185,6 +209,9 @@ def _prefix_settled(XT, grid, u_s, l_s, margin) -> np.ndarray:
     settled = np.zeros((count, r), dtype=bool)
     if K * K > r * k * k:
         return settled.reshape(-1)
+    # per prefix, whether it takes the upper and the lower test
+    tested = [np.ones(count, dtype=bool) if mask is None else mask.reshape(count, r).any(1)
+              for mask in (open_top, open_bottom)]
     sets = _combinations(m, s)
     prefix = np.indices((r,) * (s - 1)).reshape(s - 1, R)
     diag = np.arange(K)
@@ -203,16 +230,21 @@ def _prefix_settled(XT, grid, u_s, l_s, margin) -> np.ndarray:
             continue
         XU = XT[union]
         gram = XU @ XU.T
-        local = np.ascontiguousarray(local.T)
-        G = gram[local[:, None], local[None, :]]  # K x K x b
-        A = np.concatenate([-G, G], axis=2)
-        A[diag, diag] += np.repeat([u_s - margin, -(l_s + margin)], b)
+        upper, lower = (np.flatnonzero(t[start:start + b]) for t in tested)
+        nu = upper.size
+        local = np.ascontiguousarray(np.concatenate([local[upper], local[lower]]).T)
+        A = gram[local[:, None], local[None, :]]  # K x K x (upper + lower)
+        np.negative(A[:, :, :nu], out=A[:, :, :nu])
+        A[diag, diag] += np.repeat([u_s - margin, -(l_s + margin)], [nu, lower.size])
         with np.errstate(all="ignore"):  # as in _positive_definite
             for j in range(P):
                 A[j + 1:, j + 1:] -= A[j + 1:, j, None] * (A[j + 1:, j] / A[j, j])
             ok = np.all(A[range(P), range(P)] > 0.0, axis=0)
-        leaves = A[last[:, None], last[None, :]]  # s0 x s0 x r x 2b
-        below, above = (_positive_definite(leaves) & ok).reshape(r, 2, b).transpose(1, 0, 2)
+        leaves = A[last[:, None], last[None, :]]  # s0 x s0 x r x (upper + lower)
+        passed = _positive_definite(leaves) & ok
+        below, above = np.ones((2, r, b), dtype=bool)
+        below[:, upper] = passed[:, :nu]
+        above[:, lower] = passed[:, nu:]
         settled[start:start + b] = (below & (above | (l_s == 0.0))).T
     return settled.reshape(-1)
 
@@ -317,9 +349,12 @@ def _decompose(XT, supports, u_s, l_s, degenerate):
 
 
 def _extreme_eigs(X, idx, grid):
-    """(u_s, l_s, degenerate) over the supports in the rows of ``idx``.
-    ``grid`` is (m, d, s, s0) when ``idx`` is ``_support_indices(*grid)``,
-    an exhaustive enumeration, and None otherwise.
+    """(u_s, l_s, degenerate) over the supports in the rows of ``idx``, or,
+    when ``idx`` is None, over the exhaustive enumeration of ``grid`` = (m,
+    d, s, s0) in ``_support_indices(*grid)`` order; ``grid`` is None
+    otherwise. An enumeration builds no count x k index array: a support
+    gets its index row from its position (:func:`_support_rows`) only when
+    it is decomposed or reaches :func:`_settled`.
 
     A few supports are eigendecomposed first, which seeds u_s and l_s: in an
     enumeration of more than 2 * _SEED supports, the _SEED with the highest
@@ -337,8 +372,13 @@ def _extreme_eigs(X, idx, grid):
     against the seeded values, and then every support that the LDL^T tests
     of :func:`_prefix_settled` certify there with a mean above the
     degeneracy tolerance plus M, so its chunks hold only supports left to
-    test. The prefix tests cost the same for every design of a grid, while
-    the share of supports the intervals settle varies from design to design.
+    test. Each of the two tests runs there only on the prefixes that hold a
+    pending support whose interval leaves that test open; elsewhere it
+    counts as passed, as the interval has shown. On Gaussian designs the upper test
+    runs on about a tenth of the prefixes and the lower one on nearly all
+    of them at (6, 8, 2, 3), so the pass costs about the same for every
+    design of a grid, while the share of supports the intervals settle
+    varies from design to design.
 
     The margin M = 8 k (n + k^2) eps c^2 covers the sum of three errors,
     each at most a few k (n + k^2) eps c^2, where c^2 is the larger of the
@@ -361,7 +401,10 @@ def _extreme_eigs(X, idx, grid):
 
     :func:`_prefix_settled` computes, entry for entry, the eliminations of
     :func:`_settled` from a union Gram matrix of the same kind, so the three
-    errors are as above; its c^2 is that of the interval below.
+    errors are as above; its c^2 is that of the interval below. Each test it
+    runs is that elimination unchanged, so M covers it whichever prefixes
+    take which test, and a test it skips is one the interval has passed
+    against the same M.
 
     In an enumeration the interval of :func:`_support_intervals` stands in
     for the LDL^T tests, with G~ the symmetric matrix of the Gram entries
@@ -382,14 +425,21 @@ def _extreme_eigs(X, idx, grid):
       one of order sqrt(eps), so the radicand is inflated by twice the bound
       before the root is taken.
     """
-    rows = slice(None)
-    if idx.size < X.size:  # finding the union is cheaper than copying X
-        union, local = _union(idx, X.shape[1])
-        if union.size < X.shape[1]:  # copy only the rows of X^T in use
-            rows, idx = union, local
-    XT = np.ascontiguousarray(X.T[rows])
+    if idx is None:  # every column is in some support of an enumeration
+        m, d, s, s0 = grid
+        XT = np.ascontiguousarray(X.T)
+        count, k = _support_count(*grid), s * s0
+        rows_at = partial(_support_rows, _combinations(m, s), _combinations(d, s0), d)
+    else:
+        rows = slice(None)
+        if idx.size < X.size:  # finding the union is cheaper than copying X
+            union, local = _union(idx, X.shape[1])
+            if union.size < X.shape[1]:  # copy only the rows of X^T in use
+                rows, idx = union, local
+        XT = np.ascontiguousarray(X.T[rows])
+        count, k = idx.shape
+        rows_at = idx.__getitem__
     p, n = XT.shape
-    count, k = idx.shape
     # a support's gathered k x n rows and about six k x k matrices (Gram
     # matrices, its share of the inertia-test stack and temporaries), plus
     # the rows and Gram matrix of the chunk's column union, which is used
@@ -400,22 +450,25 @@ def _extreme_eigs(X, idx, grid):
     intervals = None
     seed = np.arange(min(chunk, count))
     width = max(1, min(_SEED, chunk // 2))
-    if grid is not None and count > 2 * width:
+    if idx is None and count > 2 * width:
         intervals = _support_intervals(XT, *grid)
         norm2 = float(np.einsum("ij,ij->i", XT, XT).max())
         seed = np.union1d(
             np.argpartition(intervals[2], -width)[-width:],
             np.argpartition(intervals[1], width)[:width],
         )
-    u_s, l_s, degenerate = _decompose(XT, idx[seed], -math.inf, math.inf, 0)
+    u_s, l_s, degenerate = _decompose(XT, rows_at(seed), -math.inf, math.inf, 0)
     pending = np.ones(count, dtype=bool)
     pending[seed] = False
     if intervals is not None:  # drop what the seeded values already settle
         margin = _margin(k, n, max(norm2, u_s / k))
         pending &= ~_certified(intervals, u_s, l_s, margin)
         if pending.any():
-            pending &= ~(_prefix_settled(XT, grid, u_s, l_s, margin)
-                         & (intervals[0] > _DEGENERATE_TOL + margin))
+            mean, lower, upper = intervals
+            open_top = pending & ~(upper < u_s - margin)
+            open_bottom = pending & ~((lower > l_s + margin) | (l_s == 0.0))
+            pending &= ~(_prefix_settled(XT, grid, u_s, l_s, margin, open_top, open_bottom)
+                         & (mean > _DEGENERATE_TOL + margin))
     rest = np.flatnonzero(pending)
     for start in range(0, rest.size, chunk):
         picks = rest[start:start + chunk]
@@ -424,7 +477,7 @@ def _extreme_eigs(X, idx, grid):
             picks = picks[~_certified(intervals[:, picks], u_s, l_s, margin)]
             if not picks.size:
                 continue
-        supports = idx[picks]
+        supports = rows_at(picks)
         supports = supports[~_settled(XT, supports, u_s, l_s)]
         if supports.shape[0]:
             u_s, l_s, degenerate = _decompose(XT, supports, u_s, l_s, degenerate)
@@ -460,12 +513,13 @@ def dsrip(
     supports. ``monte_carlo`` samples supports uniformly instead.
 
     Cost: with k = s*s0 and N supports (the enumerated count, or ``trials``),
-    O(N*k) index storage (and three floats per support for the intervals of
-    an enumeration) and one copy of the rows of X^T the supports use
-    (all of them when N*k is at least the size of X, as in exhaustive
-    enumeration). Supports are processed in chunks of about 4 MiB of
-    working arrays, so working memory beyond the index array does not grow
-    with N.
+    one copy of the rows of X^T the supports use (all of them in an
+    enumeration, or when N*k is at least the size of X), plus, for
+    ``monte_carlo``, O(N*k) index storage, and for an enumeration, three
+    interval floats and a few flags per support; an enumeration computes a
+    support's index row from its position when it needs one. Supports are
+    processed in chunks of about 4 MiB of working arrays, so working memory
+    beyond these per-support arrays does not grow with N.
 
     Exhaustive enumeration first builds tables over the r = C(d, s0) row
     subsets from X^T X: per column, from its d x d block, and per column
@@ -476,14 +530,17 @@ def dsrip(
     all its eigenvalues; the 128 supports with the highest interval tops and
     the 128 with the lowest bottoms are eigendecomposed first, and every
     support whose interval then shows that it cannot move an extreme or be
-    degenerate is settled. Every support of the enumeration then takes the
-    two LDL^T inertia tests with the elimination of its first s - 1 columns
-    shared by the C(d, s0) supports that extend them: per chunk of about
-    4 MiB of prefixes, one O(n*u^2) Gram product of its column union of u
-    columns, then O(P*K^2) per prefix, with P = (s - 1) s0 and K = P + d,
-    and O(s0^3) per support, the same for every design of the grid (skipped
-    when K^2 > C(d, s0) k^2). On Gaussian designs these settle all but a few
-    of the supports. The rest, and every chunk of
+    degenerate is settled. The rest then take the two LDL^T inertia tests
+    with the elimination of their first s - 1 columns shared by the
+    C(d, s0) supports that extend them, each test only where an interval
+    leaves it open: per chunk of about 4 MiB of prefixes, one O(n*u^2) Gram
+    product of its column union of u columns, then O(P*K^2) per prefix and
+    test, with P = (s - 1) s0 and K = P + d, and O(s0^3) per support and
+    test (skipped when K^2 > C(d, s0) k^2). On Gaussian designs about a
+    tenth of the prefixes take the upper test, and the lower one runs on
+    nearly all of them at (6, 8, 2, 3), so this costs about the same for
+    every design of the grid; it settles all but a few of the supports.
+    The rest, and every chunk of
     ``monte_carlo`` supports after the first, go to two LDL^T inertia tests
     when the chunk's column union has u <= k sqrt(chunk) columns, as in
     exhaustive enumeration: one O(n*u^2) union Gram product per chunk and
@@ -494,16 +551,21 @@ def dsrip(
     chunk. The first ``monte_carlo`` chunk takes the exact path too.
 
     ``trials`` is required for ``monte_carlo``, as a positive integer, and
-    is recorded in the report as an int.
+    is recorded in the report as an int; the exhaustive method rejects it.
     """
     X = _checked_design(X, m, d, s, s0)
     if method == "exhaustive":
         count = _support_count(m, d, s, s0)
+        if trials is not None:
+            raise ValueError(
+                f"trials applies only to method 'monte_carlo', got {trials!r} "
+                "for method 'exhaustive'"
+            )
         if count > _EXHAUSTIVE_GUARD:
             raise ValueError(
                 f"instance too large for exhaustive enumeration: {count} supports"
             )
-        idx = _support_indices(m, d, s, s0)
+        idx = None
         grid = (m, d, s, s0)
         flagged = False
         trials_out = None
@@ -593,4 +655,6 @@ def noise_event_bound(sigma: float, n: int, p: int, d: int, s: int, s0: int) -> 
 def rec_slack(rq: float, n: int, s: int, d: int, q: float) -> float:
     """Restricted-eigenvalue slack term s * rq * (ln(d)/n)^(1 - q/2)."""
     _check_q(q)
+    _check_nonnegative("rq", rq)
+    _check_sample_size(n)
     return s * rq * (math.log(d) / n) ** (1.0 - q / 2.0)

@@ -6,6 +6,7 @@ baseline."""
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, field
 from itertools import combinations
@@ -365,6 +366,8 @@ def constrained_ls_bruteforce(
 def iht_baseline(X: np.ndarray, Y: np.ndarray, k: int, steps: int) -> np.ndarray:
     """Classical iterative hard thresholding: gradient step scaled by 1/n,
     then keep the k largest-magnitude components (ties to the lower index)."""
+    if isinstance(steps, bool) or not isinstance(steps, numbers.Integral) or steps < 0:
+        raise ValueError(f"steps must be a nonnegative integer, got {steps!r}")
     X = _checked_design(np.asarray(X, dtype=float))
     n, p = X.shape
     Y = _checked_vector("Y", Y, n)

@@ -29,6 +29,26 @@ def test_rate_hard_reference_value():
     assert r.within_term == pytest.approx(4 * math.log(8 * math.e) / 100, rel=1e-12)
 
 
+@pytest.mark.parametrize(
+    "sigma,n,message",
+    [(0.5, 0, "n must be at least 1, got 0"),
+     (float("nan"), 10, "sigma must be finite and nonnegative, got nan"),
+     (float("inf"), 10, "sigma must be finite and nonnegative, got inf"),
+     (-1.0, 10, "sigma must be finite and nonnegative, got -1.0")],
+)
+@pytest.mark.parametrize(
+    "rate",
+    [lambda sigma, n: rate_hard(sigma, n, 4, 4, 2, 2),
+     lambda sigma, n: rate_soft(sigma, n, 4, 4, 2, 0.5, 1.0),
+     lambda sigma, n: rate_soft(sigma, n, 4, 4, 0, 0.5, 1.0)],
+    ids=["hard", "soft", "soft_s_zero"],
+)
+def test_rates_reject_bad_noise_inputs(rate, sigma, n, message):
+    with pytest.raises(ValueError) as err:
+        rate(sigma, n)
+    assert str(err.value) == message
+
+
 def test_rate_hard_saturated_budget():
     r = rate_hard(1.0, 50, 6, 4, 6, 4)
     assert r.group_term == pytest.approx(6 / 50, rel=1e-12)

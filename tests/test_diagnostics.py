@@ -126,6 +126,20 @@ def test_rec_slack_reference_value():
         diagnostics.rec_slack(1.0, 100, 2, 16, 1.5)
 
 
+@pytest.mark.parametrize(
+    "rq,n,message",
+    [(-1.0, 10, "rq must be finite and nonnegative, got -1.0"),
+     (float("nan"), 10, "rq must be finite and nonnegative, got nan"),
+     (float("inf"), 10, "rq must be finite and nonnegative, got inf"),
+     (1.0, 0, "n must be at least 1, got 0"),
+     (1.0, -3, "n must be at least 1, got -3")],
+)
+def test_rec_slack_rejects_bad_rq_or_n(rq, n, message):
+    with pytest.raises(ValueError) as err:
+        diagnostics.rec_slack(rq, n, 2, 4, 0.5)
+    assert str(err.value) == message
+
+
 def test_report_json_serializes():
     X = simulate.gen_design(16, 16, "identity_scaled", stream(7))
     rep = diagnostics.dsrip(X, 4, 4, 1, 1)
@@ -148,6 +162,20 @@ def test_support_indices_match_enumeration(m, d, s, s0):
     assert idx.dtype == np.intp
     assert idx.shape == (diagnostics._support_count(m, d, s, s0), s * s0)
     assert idx.tolist() == _supports_enumerated(m, d, s, s0)
+
+
+@pytest.mark.parametrize(
+    "m,d,s,s0", [(6, 8, 2, 3), (4, 4, 2, 2), (5, 3, 1, 3), (3, 5, 3, 1), (1, 1, 1, 1)]
+)
+def test_support_rows_match_support_indices(m, d, s, s0):
+    # every position in order, then a shuffled sample with repeats
+    idx = diagnostics._support_indices(m, d, s, s0)
+    tables = diagnostics._combinations(m, s), diagnostics._combinations(d, s0), d
+    positions = np.arange(len(idx))
+    rows = diagnostics._support_rows(*tables, positions)
+    assert rows.dtype == np.intp and np.array_equal(rows, idx)
+    picks = stream(35).integers(len(idx), size=50)
+    assert np.array_equal(diagnostics._support_rows(*tables, picks), idx[picks])
 
 
 def _sampled_supports(seed, trials, m, d, s, s0):
@@ -209,6 +237,21 @@ def test_dsrip_matches_per_support_loop(monkeypatch, chunk_bytes, method):
         assert rep.delta_s == min(max(delta, 0.0), 1.0)
 
 
+@pytest.mark.parametrize("chunk_bytes", [None, 1, 5000])
+def test_exhaustive_dsrip_builds_no_support_index_array(monkeypatch, chunk_bytes):
+    # an enumeration takes each support's index row from its position
+    def refuse(*args):
+        raise AssertionError("_support_indices called")
+
+    monkeypatch.setattr(diagnostics, "_support_indices", refuse)
+    if chunk_bytes is not None:
+        monkeypatch.setattr(diagnostics, "_CHUNK_BYTES", chunk_bytes)
+    for m, d, s, s0, X in _designs():
+        rep = diagnostics.dsrip(X, m, d, s, s0)
+        want = _extreme_eigs_loop(X, _supports_enumerated(m, d, s, s0))
+        assert (rep.u_s, rep.l_s, rep.degenerate_supports) == want
+
+
 # many column sets, each with a single row subset
 WIDE_GRIDS = [(20, 1, 2, 1), (12, 2, 2, 1)]
 
@@ -253,7 +296,8 @@ def dsrip_cases(draw):
 def test_dsrip_certified_skipping_matches_per_support_loop(case):
     m, d, s, s0, X, method, trials, seed, chunk_bytes = case
     with mock.patch.object(diagnostics, "_CHUNK_BYTES", chunk_bytes):
-        rep = diagnostics.dsrip(X, m, d, s, s0, method=method, trials=trials, seed=seed)
+        rep = diagnostics.dsrip(X, m, d, s, s0, method=method, seed=seed,
+                                trials=trials if method == "monte_carlo" else None)
     if method == "exhaustive":
         supports = _supports_enumerated(m, d, s, s0)
     else:
@@ -322,6 +366,30 @@ def test_prefix_settled_never_settles_a_support_beyond_the_thresholds(case):
         for XT, u_s, l_s, margin, _, outside in _prefix_cases(X, m, d, s, s0):
             settled = diagnostics._prefix_settled(XT, (m, d, s, s0), u_s, l_s, margin)
             assert not np.any(settled & outside)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(dsrip_cases())
+def test_prefix_settled_with_open_masks_never_settles_a_support_beyond_the_thresholds(case):
+    # as the enumeration calls it: each test only on the prefixes that hold
+    # a support whose interval leaves that test open, among those that the
+    # intervals do not settle outright; the supports they settle are a
+    # superset of what both tests on every prefix settle, and none of them
+    # is beyond the thresholds
+    m, d, s, s0, X, _, _, _, chunk_bytes = case
+    grid = (m, d, s, s0)
+    with mock.patch.object(diagnostics, "_CHUNK_BYTES", chunk_bytes):
+        for XT, u_s, l_s, margin, _, outside in _prefix_cases(X, *grid):
+            intervals = diagnostics._support_intervals(XT, *grid)
+            pending = ~diagnostics._certified(intervals, u_s, l_s, margin)
+            _, lower, upper = intervals
+            open_top = pending & ~(upper < u_s - margin)
+            open_bottom = pending & ~((lower > l_s + margin) | (l_s == 0.0))
+            settled = diagnostics._prefix_settled(XT, grid, u_s, l_s, margin,
+                                                  open_top, open_bottom)
+            assert not np.any(settled & outside & pending)
+            full = diagnostics._prefix_settled(XT, grid, u_s, l_s, margin)
+            assert np.all(settled[pending] >= full[pending])
 
 
 @pytest.mark.parametrize("m,d,s,s0", [(6, 8, 2, 3), (5, 3, 3, 1), (5, 4, 3, 2),
@@ -432,6 +500,16 @@ def test_monte_carlo_rejects_trials_that_are_not_a_positive_integer(trials):
     message = f"trials must be a positive integer for method 'monte_carlo', got {trials!r}"
     with pytest.raises(ValueError) as err:
         diagnostics.dsrip(X, 4, 4, 2, 2, method="monte_carlo", trials=trials)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("trials", [5, 0, np.int64(3), "3"])
+def test_exhaustive_rejects_trials(trials):
+    X = simulate.gen_design(20, 16, "gaussian_iid", stream(32))
+    message = (f"trials applies only to method 'monte_carlo', got {trials!r} "
+               "for method 'exhaustive'")
+    with pytest.raises(ValueError) as err:
+        diagnostics.dsrip(X, 4, 4, 2, 2, trials=trials)
     assert str(err.value) == message
 
 

@@ -327,6 +327,23 @@ def test_iht_baseline_recovers_simple_sparse():
     assert np.linalg.norm(beta_hat - beta) <= 1e-6
 
 
+@pytest.mark.parametrize("steps", [-1, True, False, 2.0, "3", None])
+def test_iht_baseline_rejects_steps_that_are_not_a_nonnegative_integer(steps):
+    X = simulate.gen_design(20, 5, "gaussian_iid", stream(19))
+    with pytest.raises(ValueError) as err:
+        estimators.iht_baseline(X, np.ones(20), 2, steps)
+    assert str(err.value) == f"steps must be a nonnegative integer, got {steps!r}"
+
+
+def test_iht_baseline_takes_zero_or_numpy_integer_steps():
+    rng = stream(19)
+    X = simulate.gen_design(20, 5, "gaussian_iid", rng)
+    Y = rng.normal(size=20)
+    assert not estimators.iht_baseline(X, Y, 2, 0).any()
+    assert np.array_equal(estimators.iht_baseline(X, Y, 2, np.int64(7)),
+                          estimators.iht_baseline(X, Y, 2, 7))
+
+
 def test_iht_baseline_full_k_is_untruncated_descent():
     rng = stream(19)
     X = simulate.gen_design(20, 5, "gaussian_iid", rng)

@@ -277,6 +277,19 @@ def test_cli_sweep_rejects_zero_replicates_or_jobs(capsys, flag):
 
 
 @pytest.mark.parametrize(
+    "flag,value,message",
+    [("--n", "0", "n must be at least 1, got 0"),
+     ("--sigma", "nan", "sigma must be finite and nonnegative, got nan"),
+     ("--sigma", "-1", "sigma must be finite and nonnegative, got -1.0")],
+)
+def test_cli_rates_rejects_bad_noise_inputs(capsys, flag, value, message):
+    argv = ["rates", "--m", "4", "--d", "4", "--s", "2", "--s0", "2", "--n", "10",
+            "--sigma", "0.5", flag, value]
+    assert harness.main(argv) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
     "flag,field", [("--lambda0", "lambda0"), ("--lambda-inf", "lambda_inf")]
 )
 def test_cli_solve_rejects_non_finite_threshold(capsys, flag, field):
