@@ -168,7 +168,7 @@ def test_support_indices_match_enumeration(m, d, s, s0):
     "m,d,s,s0", [(6, 8, 2, 3), (4, 4, 2, 2), (5, 3, 1, 3), (3, 5, 3, 1), (1, 1, 1, 1)]
 )
 def test_support_rows_match_support_indices(m, d, s, s0):
-    # every position in order, then a shuffled sample with repeats
+    # every position in order, then 50 drawn at random, with repeats
     idx = diagnostics._support_indices(m, d, s, s0)
     tables = diagnostics._combinations(m, s), diagnostics._combinations(d, s0), d
     positions = np.arange(len(idx))
