@@ -183,13 +183,15 @@ def _checked_vector(name: str, value, length: int) -> np.ndarray:
 
 
 def _checked_design(X, p: int | None = None) -> np.ndarray:
-    """``X`` as a 2-d float array, subclass kept, with ``p`` columns (any when
-    None). Its entries are not read: callers check finiteness on a pass they
-    make anyway."""
+    """``X`` as a 2-d float array, subclass kept, with at least one row and
+    ``p`` columns (any when None). Its entries are not read: callers check
+    finiteness on a pass they make anyway."""
     X = np.asanyarray(X, dtype=float)
     if X.ndim != 2 or (p is not None and X.shape[1] != p):
         width = "" if p is None else f" with p={p}"
         raise ValueError(f"X must be a 2-d n x p array{width}, got shape {X.shape}")
+    if X.shape[0] == 0:
+        raise ValueError(f"X must have at least one row, got shape {X.shape}")
     return X
 
 

@@ -1,6 +1,65 @@
 """Design-matrix and noise diagnostics: restricted-isometry constants over
 double-sparse supports, doubled-budget sparse eigenvalue constants, and the
-support-restricted correlated-noise statistic with its probability bound."""
+support-restricted correlated-noise statistic with its probability bound.
+
+Why :func:`dsrip` may skip supports. A report's u_s, l_s and degenerate
+count move only by the eigvalsh eigenvalues of a support's own Gram matrix
+G, formed from its gathered rows (the exact path). A support skips that
+path only when a certificate shows, with a margin M to spare, that it can
+neither raise u_s (lambda_max < u_s - M), nor lower l_s (lambda_min > l_s
++ M, nothing to show while l_s is at its clamp 0), nor count as degenerate
+(lambda_max > _DEGENERATE_TOL + M). u_s only grows and l_s only shrinks,
+so certifying against the running values is enough, and the report is
+that of an eigvalsh on every support, bit for bit. The certificates:
+
+- LDL^T inertia tests (:func:`_settled`, :func:`_prefix_settled`):
+  elimination without pivoting keeps every pivot of (u_s - M) I - G~ and
+  of G~ - (l_s + M) I positive, G~ gathered from the Gram matrix of a
+  column union;
+- a squared column norm of the support, a diagonal entry of G and so a
+  lower bound on lambda_max;
+- in an enumeration, the interval of :func:`_support_intervals`, with G~
+  the symmetric matrix of the Gram entries its tables are built from (each
+  off-diagonal entry computed once). Wolkowicz & Styan (1980, "Bounds for
+  eigenvalues using traces", Linear Algebra Appl. 29) put every eigenvalue
+  of a symmetric k x k matrix within mean -+ sqrt(k - 1) sd, where mean =
+  tr / k and sd^2 = ||.||_F^2 / k - mean^2, and the mean is at most
+  lambda_max.
+
+The margin M = 8 k (n + k^2) eps c^2 of :func:`_margin`, for supports of k
+columns of length n, covers the sum of three errors, each at most a few
+k (n + k^2) eps c^2. c^2 is the larger of the largest squared norm of a
+column in use, computed once per call, and u_s / k, so that u_s <= k c^2:
+
+- G~ (or a column norm) and G are length-n dot products summed in two
+  orders, each entry within gamma_n |x_u| |x_v| <= gamma_n c^2 of the
+  exact one, so ||G~ - G||_2 <= 2 gamma_n k c^2, about 2 n k eps c^2;
+- eigvalsh is backward stable: each computed eigenvalue of G is within
+  p(k) eps ||G||_2 <= p(k) k eps c^2 of the true one, for a modestly
+  growing p(k), taken here as at most k^2;
+- LDL^T elimination with positive pivots factors A + E exactly, with
+  ||E||_2 <= gamma_{k+1} tr(A) (Cauchy-Schwarz on |L||D||L^T|), and
+  tr(A) <= k u_s <= k^2 c^2 for A = (u_s - M) I - G~; forming A rounds its
+  diagonal by about k eps c^2 more. In the interval this third error is
+  its rounding: the mean and the radius are sums, products and a square
+  root of a few k terms, each off by at most about k eps c^2.
+
+The column norm needs only the first two. The interval's radicand sd^2 =
+(S - tr^2 / k) / k, with S = ||G~||_F^2, subtracts two nearly equal
+numbers when the eigenvalues are close. S sums k^2 rounded squares of
+nonnegative terms and tr^2 / k squares a sum of k, so the computed
+radicand is within gamma_{k^2+2k+4} (S + tr^2 / k) / k of the exact one.
+Its square root would turn that error of order eps into one of order
+sqrt(eps), so the radicand is inflated by twice the bound before the root
+is taken.
+
+:func:`_prefix_settled` computes, entry for entry, the eliminations of
+:func:`_settled` (an entry's update at pivot j reads only its own row and
+column at j and the pivot), so M covers every test it runs. It runs each
+of the two tests only on the prefixes that hold a support whose interval
+leaves that test open. Every other support's interval has shown that
+test's bound against the same M, so a skipped test counts as passed.
+"""
 
 from __future__ import annotations
 
@@ -86,18 +145,6 @@ def _combinations(n, k) -> np.ndarray:
     return out
 
 
-def _support_indices(m, d, s, s0) -> np.ndarray:
-    """Every support with s occupied columns of s0 entries each, one per row
-    of a (count, s*s0) index array, in ``combinations(cols) x product(row
-    subsets)`` order. Entry (i, j) is X-column d*j + i."""
-    col_sets = _combinations(m, s)
-    row_sets = _combinations(d, s0)
-    # one row subset per occupied column, last column varying fastest
-    choice = np.indices((row_sets.shape[0],) * s).reshape(s, -1).T
-    idx = d * col_sets[:, None, :, None] + row_sets[choice][None, :, :, :]
-    return idx.reshape(-1, s * s0)
-
-
 def _support_rows(sets, row_sets, d, positions) -> np.ndarray:
     """Rows ``positions`` of ``_support_indices(m, d, s, s0)``, from
     ``sets = _combinations(m, s)`` and ``row_sets = _combinations(d, s0)``
@@ -116,6 +163,14 @@ def _support_count(m, d, s, s0) -> int:
     return math.comb(m, s) * math.comb(d, s0) ** s
 
 
+def _support_indices(m, d, s, s0) -> np.ndarray:
+    """Every support with s occupied columns of s0 entries each, one per row
+    of a (count, s*s0) index array, in ``combinations(cols) x product(row
+    subsets)`` order. Entry (i, j) is X-column d*j + i."""
+    positions = np.arange(_support_count(m, d, s, s0))
+    return _support_rows(_combinations(m, s), _combinations(d, s0), d, positions)
+
+
 def _sample_support(rng, m, d, s, s0) -> np.ndarray:
     cols = np.sort(rng.choice(m, size=s, replace=False))
     rows = [np.sort(rng.choice(d, size=s0, replace=False)) for _ in cols]
@@ -131,60 +186,68 @@ def _union(supports, p):
     return np.flatnonzero(present), (np.cumsum(present) - 1)[supports]
 
 
-def _positive_definite(A) -> np.ndarray:
-    """Per matrix of the k x k x B stack ``A``, overwritten: whether LDL^T
-    elimination on its lower triangle, without pivoting, keeps every pivot
-    positive."""
-    k = A.shape[0]
+def _margin(k, n, c2, u_s) -> float:
+    """The margin M = 8 k (n + k^2) eps c^2 for supports of k columns of
+    length n, with c^2 the larger of ``c2``, the largest squared column
+    norm, and u_s / k (see the module docstring)."""
+    return 8.0 * k * (n + k * k) * np.finfo(float).eps * max(c2, u_s / k)
+
+
+def _shifted_stack(gram, top, bottom, u_s, l_s, margin) -> np.ndarray:
+    """The k x k x (t + b) stack of the two inertia tests' matrices, for
+    the t rows of ``top`` and the b rows of ``bottom``, each k positions in
+    the column union whose Gram matrix is ``gram``: (u_s - margin) I - G
+    per row of ``top`` and G - (l_s + margin) I per row of ``bottom``, G
+    the row's Gram matrix gathered from ``gram``."""
+    local = np.ascontiguousarray(np.concatenate([top, bottom]).T)
+    A = gram[local[:, None], local[None, :]]
+    t = top.shape[0]
+    # not np.negative(..., out=...): on some SIMD builds it misreads strided
+    # views (numpy 2.4.6 with AVX-512, at a stride of 8 doubles)
+    A[:, :, :t] *= -1.0
+    diag = np.arange(A.shape[0])
+    A[diag, diag] += np.repeat([u_s - margin, -(l_s + margin)], [t, bottom.shape[0]])
+    return A
+
+
+def _eliminate(A, pivots) -> np.ndarray:
+    """Per matrix of the K x K x B stack ``A``, overwritten: whether LDL^T
+    elimination on its lower triangle, without pivoting, keeps its first
+    ``pivots`` pivots positive. The trailing block is left holding their
+    Schur complement."""
     with np.errstate(all="ignore"):  # a failed pivot may spread inf or nan
-        for j in range(k - 1):
+        for j in range(min(pivots, A.shape[0] - 1)):
             A[j + 1:, j + 1:] -= A[j + 1:, j, None] * (A[j + 1:, j] / A[j, j])
-        return np.all(A[range(k), range(k)] > 0.0, axis=0)
+        return np.all(A[range(pivots), range(pivots)] > 0.0, axis=0)
 
 
-def _margin(k, n, c2) -> float:
-    """The margin M = 8 k (n + k^2) eps c^2 of :func:`_extreme_eigs` for
-    supports of k columns of length n."""
-    return 8.0 * k * (n + k * k) * np.finfo(float).eps * c2
-
-
-def _settled(XT, supports, u_s, l_s) -> np.ndarray:
-    """Per row of ``supports``: whether its Gram matrix, gathered from the
-    Gram matrix of the rows' column union, is certified by LDL^T inertia
-    tests to have lambda_max < u_s - M and, while l_s > 0, lambda_min >
-    l_s + M, and has a diagonal entry, a lower bound on lambda_max, above the
-    degeneracy tolerance plus M (M as in :func:`_extreme_eigs`). None is
-    settled when the union's Gram matrix costs more than the supports' own
-    (u^2 > count k^2)."""
+def _settled(XT, supports, norms, u_s, l_s, margin) -> np.ndarray:
+    """Per row of ``supports``: whether the LDL^T inertia tests certify
+    lambda_max < u_s - margin and, while l_s > 0, lambda_min > l_s +
+    margin, on its Gram matrix gathered from that of the rows' column
+    union, and one of its squared column norms ``norms`` exceeds the
+    degeneracy tolerance plus margin. None is settled when the union's
+    Gram matrix costs more than the supports' own (u^2 > count k^2)."""
     count, k = supports.shape
     union, local = _union(supports, XT.shape[0])
     if union.size ** 2 > supports.size * k:
         return np.zeros(count, dtype=bool)
-    local = np.ascontiguousarray(local.T)
     XU = XT[union]
-    gram = XU @ XU.T
-    margin = _margin(k, XT.shape[1], max(float(gram.diagonal().max()), u_s / k))
-    G = gram[local[:, None], local[None, :]]  # k x k x count
-    diag = np.arange(k)
-    # both tests on one stack; no support lowers l_s past its clamp at 0
-    A = np.concatenate([-G, G], axis=2)
-    A[diag, diag] += np.repeat([u_s - margin, -(l_s + margin)], count)
-    below, above = _positive_definite(A).reshape(2, count)
-    nondegenerate = G[diag, diag].max(axis=0) > _DEGENERATE_TOL + margin
-    return below & (above | (l_s == 0.0)) & nondegenerate
+    bottom = local if l_s > 0.0 else local[:0]
+    passed = _eliminate(_shifted_stack(XU @ XU.T, local, bottom, u_s, l_s, margin), k)
+    above = passed[count:] if l_s > 0.0 else True
+    return passed[:count] & above & (norms[supports].max(axis=1) > _DEGENERATE_TOL + margin)
 
 
-def _prefix_settled(
-    XT, grid, u_s, l_s, margin, open_top=None, open_bottom=None
-) -> np.ndarray:
-    """Per support of ``_support_indices(*grid)``: whether the two LDL^T
-    inertia tests of :func:`_settled` certify lambda_max < u_s - margin and,
-    while l_s > 0, lambda_min > l_s + margin. The upper test runs on the
-    prefixes (below) that hold a support of the bool mask ``open_top``, the
-    lower test on those that hold one of ``open_bottom``, each on every
-    prefix when its mask is None. A support that a test skips counts as
-    passing it, so the caller must know that it would pass, or have no use
-    for it. The degeneracy test is left to the caller.
+def _prefix_settled(XT, sets, row_sets, d, u_s, l_s, margin, open_top, open_bottom):
+    """Per support of the enumeration over ``sets = _combinations(m, s)``
+    and ``row_sets = _combinations(d, s0)``: whether the two LDL^T inertia
+    tests of :func:`_settled` certify lambda_max < u_s - margin and
+    lambda_min > l_s + margin. The upper test runs on the prefixes (below)
+    that hold a support of the bool mask ``open_top``, the lower test on
+    those that hold one of ``open_bottom``; a support that a test skips
+    counts as passing it (see the module docstring). The degeneracy test
+    is left to the caller.
 
     A support's first P = (s - 1) s0 pivots depend only on its prefix: the
     column set and the row subsets of its first s - 1 columns. Each prefix
@@ -192,35 +255,27 @@ def _prefix_settled(
     the prefix and every row of the last column, from the Gram matrix of
     the chunk's column union as in :func:`_settled`. The Schur complement's
     s0 x s0 block at each of the r row subsets of the last column then
-    finishes the r supports that extend the prefix. An entry's update at
-    pivot j reads only its own row and column at j and the pivot, so every
-    entry takes the same operations as in :func:`_settled`. With both masks
-    None the cost is fixed by the grid. None is settled when a prefix matrix
-    is larger than its r supports' own (K^2 > r k^2); in a chunk, when the
-    union's Gram matrix is larger than both the chunk's prefix matrices and
-    ``_CHUNK_BYTES``."""
-    m, d, s, s0 = grid
+    finishes the r supports that extend the prefix. None is settled when a
+    prefix matrix is larger than its r supports' own (K^2 > r k^2); in a
+    chunk, when the union's Gram matrix is larger than both the chunk's
+    prefix matrices and ``_CHUNK_BYTES``."""
+    s, s0 = sets.shape[1], row_sets.shape[1]
     k, P = s * s0, (s - 1) * s0
     K = P + d
-    row_sets = _combinations(d, s0)
     r = row_sets.shape[0]
     R = r ** (s - 1)  # prefixes per column set
-    count = math.comb(m, s) * R
+    count = sets.shape[0] * R
     settled = np.zeros((count, r), dtype=bool)
     if K * K > r * k * k:
         return settled.reshape(-1)
     # per prefix, whether it takes the upper and the lower test
-    tested = [np.ones(count, dtype=bool) if mask is None else mask.reshape(count, r).any(1)
-              for mask in (open_top, open_bottom)]
-    sets = _combinations(m, s)
+    tested = [mask.reshape(count, r).any(1) for mask in (open_top, open_bottom)]
     prefix = np.indices((r,) * (s - 1)).reshape(s - 1, R)
-    diag = np.arange(K)
     last = P + row_sets.T
     # a prefix's two shifted matrices and temporaries, and its leaf blocks
     step = max(1, _CHUNK_BYTES // (8 * (3 * K * K + 3 * s0 * s0 * r)))
     for start in range(0, count, step):
         states = np.arange(start, min(count, start + step))
-        b = states.size
         cols = sets[states // R]
         rows = np.concatenate(
             [d * cols[:, a, None] + row_sets[prefix[a, states % R]] for a in range(s - 1)]
@@ -229,33 +284,25 @@ def _prefix_settled(
         if union.size ** 2 > max(rows.size * K, _CHUNK_BYTES // 8):
             continue
         XU = XT[union]
-        gram = XU @ XU.T
-        upper, lower = (np.flatnonzero(t[start:start + b]) for t in tested)
-        nu = upper.size
-        local = np.ascontiguousarray(np.concatenate([local[upper], local[lower]]).T)
-        A = gram[local[:, None], local[None, :]]  # K x K x (upper + lower)
-        np.negative(A[:, :, :nu], out=A[:, :, :nu])
-        A[diag, diag] += np.repeat([u_s - margin, -(l_s + margin)], [nu, lower.size])
-        with np.errstate(all="ignore"):  # as in _positive_definite
-            for j in range(P):
-                A[j + 1:, j + 1:] -= A[j + 1:, j, None] * (A[j + 1:, j] / A[j, j])
-            ok = np.all(A[range(P), range(P)] > 0.0, axis=0)
+        upper, lower = (np.flatnonzero(t[states]) for t in tested)
+        A = _shifted_stack(XU @ XU.T, local[upper], local[lower], u_s, l_s, margin)
+        ok = _eliminate(A, P)
         leaves = A[last[:, None], last[None, :]]  # s0 x s0 x r x (upper + lower)
-        passed = _positive_definite(leaves) & ok
-        below, above = np.ones((2, r, b), dtype=bool)
-        below[:, upper] = passed[:, :nu]
-        above[:, lower] = passed[:, nu:]
-        settled[start:start + b] = (below & (above | (l_s == 0.0))).T
+        passed = _eliminate(leaves, s0) & ok
+        below, above = np.ones((2, r, states.size), dtype=bool)
+        below[:, upper] = passed[:, :upper.size]
+        above[:, lower] = passed[:, upper.size:]
+        settled[states] = (below & above).T
     return settled.reshape(-1)
 
 
-def _support_intervals(XT, m, d, s, s0) -> np.ndarray:
-    """A 3 x count array whose columns are, per support of
-    ``_support_indices(m, d, s, s0)``, the mean eigenvalue of its Gram
-    matrix G and the lower and upper end of the interval mean -+ sqrt(k - 1)
-    sd that holds all of them, with sd^2 = (||G||_F^2 - tr(G)^2 / k) / k and
-    the radicand inflated by its rounding bound (see :func:`_extreme_eigs`).
-    ``XT`` is X^T, C-contiguous.
+def _support_intervals(XT, d, sets, row_sets) -> np.ndarray:
+    """A 3 x count array whose columns are, per support of the enumeration
+    over ``sets = _combinations(m, s)`` and ``row_sets = _combinations(d,
+    s0)``, the mean eigenvalue of its Gram matrix G and the lower and upper
+    end of the interval mean -+ sqrt(k - 1) sd that holds all of them, with
+    sd^2 = (||G||_F^2 - tr(G)^2 / k) / k and the radicand inflated by its
+    rounding bound (see the module docstring). ``XT`` is X^T, C-contiguous.
 
     No support's G is formed. Both moments are sums over tables indexed by
     row subset rho: per column c, the trace, the squared-diagonal sum and
@@ -265,8 +312,9 @@ def _support_intervals(XT, m, d, s, s0) -> np.ndarray:
     come from blocks of rows of X^T X and the supports read the tables in
     chunks, both of about ``_CHUNK_BYTES``."""
     n = XT.shape[1]
+    m = XT.shape[0] // d
+    s, s0 = sets.shape[1], row_sets.shape[1]
     k = s * s0
-    row_sets = _combinations(d, s0)
     r = row_sets.shape[0]
     XT3 = XT.reshape(m, d, n)
     diag = np.einsum("cin,cin->ci", XT3, XT3)
@@ -290,7 +338,6 @@ def _support_intervals(XT, m, d, s, s0) -> np.ndarray:
             H = sum(H[:, :, row_sets[:, b]] for b in range(s0))  # rows x subsets
             cross[done:done + first.size] = sum(H[:, row_sets[:, a]] for a in range(s0))
             done += first.size
-    sets = _combinations(m, s)
     # the radicand's rounding: ||G||_F^2 sums k^2 rounded squares and
     # tr^2 / k squares a sum of k terms
     slack = 2.0 * (k * k + 2 * k + 4) * np.finfo(float).eps / k
@@ -323,15 +370,17 @@ def _support_intervals(XT, m, d, s, s0) -> np.ndarray:
     return out.reshape(3, -1)
 
 
-def _certified(intervals, u_s, l_s, margin) -> np.ndarray:
-    """Per column (mean, lower, upper) of ``intervals``: whether it shows, as
-    :func:`_settled` does, that the support cannot raise u_s, lower l_s or
-    count as degenerate: upper < u_s - M, lower > l_s + M unless l_s = 0,
-    and the mean, a lower bound on lambda_max, above the degeneracy
-    tolerance plus M."""
+
+
+def _open(intervals, u_s, l_s, margin):
+    """Per column (mean, lower, upper) of ``intervals``, three masks: where
+    the interval leaves open that the support raises u_s (upper not below
+    u_s - M), lowers l_s (lower not above l_s + M, while l_s > 0) or counts
+    as degenerate (the mean, a lower bound on lambda_max, not above the
+    degeneracy tolerance plus M)."""
     mean, lower, upper = intervals
-    certified = (upper < u_s - margin) & (mean > _DEGENERATE_TOL + margin)
-    return certified & ((lower > l_s + margin) | (l_s == 0.0))
+    return (~(upper < u_s - margin), ~(lower > l_s + margin) & (l_s > 0.0),
+            ~(mean > _DEGENERATE_TOL + margin))
 
 
 def _decompose(XT, supports, u_s, l_s, degenerate):
@@ -352,84 +401,37 @@ def _extreme_eigs(X, idx, grid):
     """(u_s, l_s, degenerate) over the supports in the rows of ``idx``, or,
     when ``idx`` is None, over the exhaustive enumeration of ``grid`` = (m,
     d, s, s0) in ``_support_indices(*grid)`` order; ``grid`` is None
-    otherwise. An enumeration builds no count x k index array: a support
-    gets its index row from its position (:func:`_support_rows`) only when
-    it is decomposed or reaches :func:`_settled`.
+    otherwise. An enumeration builds its two combination tables once and no
+    count x k index array: a support gets its index row from its position
+    (:func:`_support_rows`) only when it is decomposed or reaches
+    :func:`_settled`.
 
     A few supports are eigendecomposed first, which seeds u_s and l_s: in an
     enumeration of more than 2 * _SEED supports, the _SEED with the highest
     upper ends and the _SEED with the lowest lower ends of their
     :func:`_support_intervals` (at most half a chunk each), and otherwise
-    the first chunk. The other supports run in chunks. In each,
-    the supports whose interval (in an enumeration) or :func:`_settled`
-    certifies that they cannot raise u_s, lower l_s or count as degenerate
-    are skipped; the rest get their rows gathered, their own Gram matrix G
-    formed and one stacked eigvalsh, exactly as if every support were
-    decomposed. Only those exact values move u_s, l_s and the count, so the
-    result is that of an eigvalsh on every support, bit for bit. u_s only
-    grows and l_s only shrinks, so certifying against the running values is
-    enough. An enumeration first drops every support its interval certifies
-    against the seeded values, and then every support that the LDL^T tests
-    of :func:`_prefix_settled` certify there with a mean above the
-    degeneracy tolerance plus M, so its chunks hold only supports left to
-    test. Each of the two tests runs there only on the prefixes that hold a
-    pending support whose interval leaves that test open; elsewhere it
-    counts as passed, as the interval has shown. On Gaussian designs the upper test
-    runs on about a tenth of the prefixes and the lower one on nearly all
-    of them at (6, 8, 2, 3), so the pass costs about the same for every
-    design of a grid, while the share of supports the intervals settle
-    varies from design to design.
+    the first chunk. An enumeration then drops every support its interval
+    certifies against the seeded values, and every support that
+    :func:`_prefix_settled` certifies with an interval mean above the
+    degeneracy tolerance plus M, each prefix test running only where a
+    pending support's interval leaves it open. The supports left run in
+    chunks: in each, those that their interval (in an enumeration) or
+    :func:`_settled` certifies are skipped, and the rest get the exact path,
+    one stacked eigvalsh. The module docstring states why the result is
+    that of an eigvalsh on every support, bit for bit.
 
-    The margin M = 8 k (n + k^2) eps c^2 covers the sum of three errors,
-    each at most a few k (n + k^2) eps c^2, where c^2 is the larger of the
-    largest squared norm of a column in the chunk's union (of any column,
-    for the interval below) and u_s / k, so that u_s <= k c^2:
-
-    - the certified matrix G~ and G are length-n dot products summed in two
-      orders, each entry within gamma_n |x_u| |x_v| <= gamma_n c^2 of the
-      exact one, so ||G~ - G||_2 <= 2 gamma_n k c^2, about 2 n k eps c^2;
-    - eigvalsh is backward stable: each computed eigenvalue of G is within
-      p(k) eps ||G||_2 <= p(k) k eps c^2 of the true one, for a modestly
-      growing p(k), taken here as at most k^2;
-    - LDL^T elimination with positive pivots factors A + E exactly, with
-      ||E||_2 <= gamma_{k+1} tr(A) (Cauchy-Schwarz on |L||D||L^T|), and
-      tr(A) <= k u_s <= k^2 c^2 for A = (u_s - M) I - G~; forming A rounds
-      its diagonal by about k eps c^2 more.
-
-    The diagonal test needs only the first two: an eigvalsh top eigenvalue
-    is at least G's largest diagonal entry less both errors.
-
-    :func:`_prefix_settled` computes, entry for entry, the eliminations of
-    :func:`_settled` from a union Gram matrix of the same kind, so the three
-    errors are as above; its c^2 is that of the interval below. Each test it
-    runs is that elimination unchanged, so M covers it whichever prefixes
-    take which test, and a test it skips is one the interval has passed
-    against the same M.
-
-    In an enumeration the interval of :func:`_support_intervals` stands in
-    for the LDL^T tests, with G~ the symmetric matrix of the Gram entries
-    its tables are built from (each off-diagonal entry computed once), so
-    the first two errors are as above. Wolkowicz & Styan (1980, "Bounds for
-    eigenvalues using traces", Linear Algebra Appl. 29) put every
-    eigenvalue of a symmetric k x k matrix within mean -+ sqrt(k - 1) sd,
-    where mean = tr / k and sd^2 = ||.||_F^2 / k - mean^2, and the mean is
-    at most lambda_max. Rounding in the tables and the interval:
-
-    - the mean and the radius are sums, products and a square root of a few
-      k terms, each off by at most about k eps c^2, within M's third term;
-    - sd^2 = (S - tr^2 / k) / k, with S = ||G~||_F^2, subtracts two nearly
-      equal numbers when the eigenvalues are close. S sums k^2 rounded
-      squares of nonnegative terms and tr^2 / k squares a sum of k, so the
-      computed radicand is within gamma_{k^2+2k+4} (S + tr^2 / k) / k of the
-      exact one. Its square root would turn that error of order eps into
-      one of order sqrt(eps), so the radicand is inflated by twice the bound
-      before the root is taken.
+    On Gaussian designs the upper prefix test runs on about a tenth of the
+    prefixes and the lower one on nearly all of them at (6, 8, 2, 3), so
+    the prefix pass costs about the same for every design of a grid, while
+    the share of supports the intervals settle varies from design to
+    design.
     """
     if idx is None:  # every column is in some support of an enumeration
         m, d, s, s0 = grid
         XT = np.ascontiguousarray(X.T)
-        count, k = _support_count(*grid), s * s0
-        rows_at = partial(_support_rows, _combinations(m, s), _combinations(d, s0), d)
+        sets, row_sets = _combinations(m, s), _combinations(d, s0)
+        count, k = sets.shape[0] * row_sets.shape[0] ** s, s * s0
+        rows_at = partial(_support_rows, sets, row_sets, d)
     else:
         rows = slice(None)
         if idx.size < X.size:  # finding the union is cheaper than copying X
@@ -440,6 +442,8 @@ def _extreme_eigs(X, idx, grid):
         count, k = idx.shape
         rows_at = idx.__getitem__
     p, n = XT.shape
+    norms = np.einsum("ij,ij->i", XT, XT)
+    c2 = float(norms.max())
     # a support's gathered k x n rows and about six k x k matrices (Gram
     # matrices, its share of the inertia-test stack and temporaries), plus
     # the rows and Gram matrix of the chunk's column union, which is used
@@ -451,8 +455,7 @@ def _extreme_eigs(X, idx, grid):
     seed = np.arange(min(chunk, count))
     width = max(1, min(_SEED, chunk // 2))
     if idx is None and count > 2 * width:
-        intervals = _support_intervals(XT, *grid)
-        norm2 = float(np.einsum("ij,ij->i", XT, XT).max())
+        intervals = _support_intervals(XT, d, sets, row_sets)
         seed = np.union1d(
             np.argpartition(intervals[2], -width)[-width:],
             np.argpartition(intervals[1], width)[:width],
@@ -461,24 +464,21 @@ def _extreme_eigs(X, idx, grid):
     pending = np.ones(count, dtype=bool)
     pending[seed] = False
     if intervals is not None:  # drop what the seeded values already settle
-        margin = _margin(k, n, max(norm2, u_s / k))
-        pending &= ~_certified(intervals, u_s, l_s, margin)
+        margin = _margin(k, n, c2, u_s)
+        top, bottom, flat = _open(intervals, u_s, l_s, margin)
+        pending &= top | bottom | flat
         if pending.any():
-            mean, lower, upper = intervals
-            open_top = pending & ~(upper < u_s - margin)
-            open_bottom = pending & ~((lower > l_s + margin) | (l_s == 0.0))
-            pending &= ~(_prefix_settled(XT, grid, u_s, l_s, margin, open_top, open_bottom)
-                         & (mean > _DEGENERATE_TOL + margin))
+            settled = _prefix_settled(XT, sets, row_sets, d, u_s, l_s, margin,
+                                      pending & top, pending & bottom)
+            pending &= ~settled | flat
     rest = np.flatnonzero(pending)
     for start in range(0, rest.size, chunk):
         picks = rest[start:start + chunk]
+        margin = _margin(k, n, c2, u_s)
         if intervals is not None:
-            margin = _margin(k, n, max(norm2, u_s / k))
-            picks = picks[~_certified(intervals[:, picks], u_s, l_s, margin)]
-            if not picks.size:
-                continue
+            picks = picks[np.any(_open(intervals[:, picks], u_s, l_s, margin), axis=0)]
         supports = rows_at(picks)
-        supports = supports[~_settled(XT, supports, u_s, l_s)]
+        supports = supports[~_settled(XT, supports, norms, u_s, l_s, margin)]
         if supports.shape[0]:
             u_s, l_s, degenerate = _decompose(XT, supports, u_s, l_s, degenerate)
     return u_s, l_s, degenerate
@@ -540,15 +540,16 @@ def dsrip(
     tenth of the prefixes take the upper test, and the lower one runs on
     nearly all of them at (6, 8, 2, 3), so this costs about the same for
     every design of the grid; it settles all but a few of the supports.
-    The rest, and every chunk of
-    ``monte_carlo`` supports after the first, go to two LDL^T inertia tests
-    when the chunk's column union has u <= k sqrt(chunk) columns, as in
-    exhaustive enumeration: one O(n*u^2) union Gram product per chunk and
-    O(k^3) per support. Only the supports these cannot settle, and every
-    support of a chunk with a larger union (Monte-Carlo supports over many
-    columns), get the exact path: a k x n row gather, an O(n*k^2) Gram
+    The rest, and every chunk of ``monte_carlo`` supports after the first,
+    go to the two LDL^T inertia tests when the chunk's column union has
+    u <= k sqrt(chunk) columns: one O(n*u^2) union Gram product per chunk
+    and O(k^3) per support. Only the supports these cannot settle, and
+    every support of a chunk with a larger union (Monte-Carlo supports over
+    many columns), get the exact path: a k x n row gather, an O(n*k^2) Gram
     product and an O(k^3) eigendecomposition, one stacked ``eigvalsh`` per
-    chunk. The first ``monte_carlo`` chunk takes the exact path too.
+    chunk. The first ``monte_carlo`` chunk takes the exact path too. The
+    module docstring states why a settled support cannot change the
+    report, so the report is that of an ``eigvalsh`` on every support.
 
     ``trials`` is required for ``monte_carlo``, as a positive integer, and
     is recorded in the report as an int; the exhaustive method rejects it.

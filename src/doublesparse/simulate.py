@@ -18,6 +18,7 @@ from .core import (
     GroupedMatrix,
     NoiseModel,
     SparsityBudget,
+    _check_sample_size,
     _checked_design,
     float_text,
     stream,
@@ -159,6 +160,7 @@ def gen_design(n: int, p: int, kind: str, seed) -> np.ndarray:
     ``identity_scaled`` returns sqrt(n) * [I_p; 0] (requires p <= n);
     ``gaussian_iid`` draws standard normal entries and rescales columns.
     """
+    _check_sample_size(n)
     rng = _as_rng(seed)
     if kind == "identity_scaled":
         if p > n:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from doublesparse import bounds, diagnostics, estimators, threshold
+from doublesparse import bounds, diagnostics, estimators, harness, simulate, threshold
 from doublesparse.core import (
     GroupedMatrix,
     NoiseModel,
@@ -298,3 +298,39 @@ def test_vec_matrix_round_trip_bits(m, d, data):
     theta = vec_to_matrix(beta, m, d)
     assert same_bits(matrix_to_vec(theta), beta)
     assert same_bits(matrix_to_vec(vec_to_matrix(matrix_to_vec(theta), m, d)), beta)
+
+
+# every entry point that takes a design, with a (0, 16) X over the 4 x 4
+# grid and empty responses
+EMPTY_DESIGN_CALLS = {
+    "sparse_eigen_constants": lambda X: diagnostics.sparse_eigen_constants(X, 4, 4, 1, 1),
+    "dsrip_exhaustive": lambda X: diagnostics.dsrip(X, 4, 4, 2, 2),
+    "dsrip_monte_carlo": lambda X: diagnostics.dsrip(X, 4, 4, 2, 2, "monte_carlo", 5),
+    "noise_event_stat": lambda X: diagnostics.noise_event_stat(X, np.zeros(0), 4, 4, 1, 1),
+    "default_lambda0": lambda X: estimators.default_lambda0(X, np.zeros(0), 1, 1),
+    "iht_baseline": lambda X: estimators.iht_baseline(X, np.zeros(0), 2, 3),
+    "dsiht": lambda X: estimators.dsiht(
+        X, np.zeros(0), SparsityBudget.hard(4, 4, 1, 1),
+        estimators.ThresholdSchedule(1.0, 0.5, 0.1)),
+    "gen_regression": lambda X: simulate.gen_regression(
+        X, np.zeros(16), NoiseModel(1.0, 1), stream(0)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EMPTY_DESIGN_CALLS))
+def test_design_with_no_rows_is_rejected(name):
+    message = r"^X must have at least one row, got shape \(0, 16\)$"
+    with pytest.raises(ValueError, match=message):
+        EMPTY_DESIGN_CALLS[name](np.zeros((0, 16)))
+
+
+@pytest.mark.parametrize("kind", ["gaussian_iid", "identity_scaled"])
+def test_gen_design_rejects_no_rows(kind):
+    with pytest.raises(ValueError, match=r"^n must be at least 1, got 0$"):
+        simulate.gen_design(0, 16, kind, stream(0))
+
+
+def test_cli_dsrip_rejects_no_rows(capsys):
+    argv = ["dsrip", "--m", "4", "--d", "4", "--s", "2", "--s0", "2", "--n", "0"]
+    assert harness.main(argv) == 1
+    assert capsys.readouterr().err == "error: n must be at least 1, got 0\n"

@@ -167,15 +167,14 @@ def test_support_indices_match_enumeration(m, d, s, s0):
 @pytest.mark.parametrize(
     "m,d,s,s0", [(6, 8, 2, 3), (4, 4, 2, 2), (5, 3, 1, 3), (3, 5, 3, 1), (1, 1, 1, 1)]
 )
-def test_support_rows_match_support_indices(m, d, s, s0):
-    # every position in order, then 50 drawn at random, with repeats
-    idx = diagnostics._support_indices(m, d, s, s0)
+def test_support_rows_match_enumeration(m, d, s, s0):
+    # 50 positions drawn at random, with repeats; every position in order is
+    # test_support_indices_match_enumeration
+    want = np.array(_supports_enumerated(m, d, s, s0))
     tables = diagnostics._combinations(m, s), diagnostics._combinations(d, s0), d
-    positions = np.arange(len(idx))
-    rows = diagnostics._support_rows(*tables, positions)
-    assert rows.dtype == np.intp and np.array_equal(rows, idx)
-    picks = stream(35).integers(len(idx), size=50)
-    assert np.array_equal(diagnostics._support_rows(*tables, picks), idx[picks])
+    picks = stream(35).integers(len(want), size=50)
+    rows = diagnostics._support_rows(*tables, picks)
+    assert rows.dtype == np.intp and np.array_equal(rows, want[picks])
 
 
 def _sampled_supports(seed, trials, m, d, s, s0):
@@ -310,11 +309,11 @@ def _assert_intervals_hold(X, m, d, s, s0):
     # table interval widened by the margin M the settling test subtracts, and
     # the mean is at most the top eigenvalue plus M
     XT = np.ascontiguousarray(X.T)
-    mean, lower, upper = diagnostics._support_intervals(XT, m, d, s, s0)
+    mean, lower, upper = diagnostics._support_intervals(XT, d, *_tables(m, d, s, s0))
     Xs = XT[diagnostics._support_indices(m, d, s, s0)]
     eigs = np.linalg.eigvalsh(Xs @ Xs.transpose(0, 2, 1))
     c2 = float(np.einsum("ij,ij->j", X, X).max())
-    margin = diagnostics._margin(s * s0, X.shape[0], c2)
+    margin = diagnostics._margin(s * s0, X.shape[0], c2, 0.0)
     assert np.all(lower[:, None] - margin <= eigs)
     assert np.all(eigs <= upper[:, None] + margin)
     assert np.all(mean <= eigs[:, -1] + margin)
@@ -341,9 +340,14 @@ def test_support_intervals_hold_when_sd_is_about_zero(m, d, s, s0, bump):
     _assert_intervals_hold(X, m, d, s, s0)
 
 
+def _tables(m, d, s, s0):
+    return diagnostics._combinations(m, s), diagnostics._combinations(d, s0)
+
+
 def _prefix_cases(X, m, d, s, s0):
     # thresholds at quantiles of the exact extremes, and l_s = 0; per case
-    # the supports that must be settled and those that must not be
+    # the supports that must be settled and those that must not be, and
+    # the degenerate ones
     XT = np.ascontiguousarray(X.T)
     Xs = XT[diagnostics._support_indices(m, d, s, s0)]
     eigs = np.linalg.eigvalsh(Xs @ Xs.transpose(0, 2, 1))
@@ -352,10 +356,19 @@ def _prefix_cases(X, m, d, s, s0):
     for qu, ql in [(1.0, 0.0), (0.9, 0.2), (0.5, 0.5), (1.0, None)]:
         u_s = float(np.quantile(top, qu))
         l_s = 0.0 if ql is None else max(float(np.quantile(bottom, ql)), 0.0)
-        margin = diagnostics._margin(s * s0, X.shape[0], max(c2, u_s / (s * s0)))
+        margin = diagnostics._margin(s * s0, X.shape[0], c2, u_s)
         inside = (top < u_s - 2 * margin) & ((bottom > l_s + 2 * margin) | (l_s == 0.0))
         outside = (top >= u_s) | ((bottom <= l_s) & (l_s > 0.0))
-        yield XT, u_s, l_s, margin, inside, outside
+        yield XT, u_s, l_s, margin, inside, outside, top < 1e-12
+
+
+def _every_prefix(XT, grid, u_s, l_s, margin):
+    # both tests on every prefix, the lower one only while l_s > 0, as the
+    # enumeration's masks have it
+    m, d, s, s0 = grid
+    tested = np.ones(diagnostics._support_count(*grid), dtype=bool)
+    return diagnostics._prefix_settled(XT, *_tables(*grid), d, u_s, l_s, margin,
+                                       tested, tested & (l_s > 0.0))
 
 
 @settings(max_examples=400, deadline=None, derandomize=True, database=None)
@@ -363,8 +376,8 @@ def _prefix_cases(X, m, d, s, s0):
 def test_prefix_settled_never_settles_a_support_beyond_the_thresholds(case):
     m, d, s, s0, X, _, _, _, chunk_bytes = case
     with mock.patch.object(diagnostics, "_CHUNK_BYTES", chunk_bytes):
-        for XT, u_s, l_s, margin, _, outside in _prefix_cases(X, m, d, s, s0):
-            settled = diagnostics._prefix_settled(XT, (m, d, s, s0), u_s, l_s, margin)
+        for XT, u_s, l_s, margin, _, outside, _ in _prefix_cases(X, m, d, s, s0):
+            settled = _every_prefix(XT, (m, d, s, s0), u_s, l_s, margin)
             assert not np.any(settled & outside)
 
 
@@ -379,16 +392,15 @@ def test_prefix_settled_with_open_masks_never_settles_a_support_beyond_the_thres
     m, d, s, s0, X, _, _, _, chunk_bytes = case
     grid = (m, d, s, s0)
     with mock.patch.object(diagnostics, "_CHUNK_BYTES", chunk_bytes):
-        for XT, u_s, l_s, margin, _, outside in _prefix_cases(X, *grid):
-            intervals = diagnostics._support_intervals(XT, *grid)
-            pending = ~diagnostics._certified(intervals, u_s, l_s, margin)
-            _, lower, upper = intervals
-            open_top = pending & ~(upper < u_s - margin)
-            open_bottom = pending & ~((lower > l_s + margin) | (l_s == 0.0))
-            settled = diagnostics._prefix_settled(XT, grid, u_s, l_s, margin,
-                                                  open_top, open_bottom)
+        for XT, u_s, l_s, margin, _, outside, _ in _prefix_cases(X, *grid):
+            tables = _tables(*grid)
+            intervals = diagnostics._support_intervals(XT, d, *tables)
+            top, bottom, flat = diagnostics._open(intervals, u_s, l_s, margin)
+            pending = top | bottom | flat
+            settled = diagnostics._prefix_settled(XT, *tables, d, u_s, l_s, margin,
+                                                  pending & top, pending & bottom)
             assert not np.any(settled & outside & pending)
-            full = diagnostics._prefix_settled(XT, grid, u_s, l_s, margin)
+            full = _every_prefix(XT, grid, u_s, l_s, margin)
             assert np.all(settled[pending] >= full[pending])
 
 
@@ -403,16 +415,59 @@ def test_prefix_settled_matches_the_exact_eigenvalues(monkeypatch, m, d, s, s0, 
     if chunk_bytes is not None:
         monkeypatch.setattr(diagnostics, "_CHUNK_BYTES", chunk_bytes)
     X = simulate.gen_design(40, m * d, "gaussian_iid", stream(33))
-    for XT, u_s, l_s, margin, inside, outside in _prefix_cases(X, m, d, s, s0):
-        settled = diagnostics._prefix_settled(XT, (m, d, s, s0), u_s, l_s, margin)
+    for XT, u_s, l_s, margin, inside, outside, _ in _prefix_cases(X, m, d, s, s0):
+        settled = _every_prefix(XT, (m, d, s, s0), u_s, l_s, margin)
         assert np.array_equal(settled[inside | outside], inside[inside | outside])
 
 
 def test_prefix_settled_leaves_every_support_when_a_prefix_outgrows_its_supports():
     # (12, 2, 2, 1): prefix matrices of 3 x 3 against two supports of 2 x 2
     X = simulate.gen_design(20, 24, "gaussian_iid", stream(34))
-    settled = diagnostics._prefix_settled(np.ascontiguousarray(X.T), (12, 2, 2, 1), 1e9, 0.0, 0.0)
+    settled = _every_prefix(np.ascontiguousarray(X.T), (12, 2, 2, 1), 1e9, 0.0, 0.0)
     assert settled.shape == (264,) and not settled.any()
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(dsrip_cases())
+def test_settled_never_settles_a_support_beyond_the_thresholds(case):
+    m, d, s, s0, X, *_ = case
+    idx = diagnostics._support_indices(m, d, s, s0)
+    for XT, u_s, l_s, margin, _, outside, degenerate in _prefix_cases(X, m, d, s, s0):
+        norms = np.einsum("ij,ij->i", XT, XT)
+        settled = diagnostics._settled(XT, idx, norms, u_s, l_s, margin)
+        assert not np.any(settled & (outside | degenerate))
+
+
+@pytest.mark.parametrize("m,d,s,s0", [(6, 8, 2, 3), (5, 3, 3, 1), (5, 4, 3, 2),
+                                      (3, 6, 1, 3), (3, 6, 2, 6), (250, 1, 2, 1)])
+def test_settled_matches_the_exact_eigenvalues(m, d, s, s0):
+    # away from the thresholds the LDL^T tests decide exactly as the
+    # eigenvalues do, on grids with s = 1, s = 3, s0 = d and r = 1 whose
+    # column union is small enough for the tests to run
+    X = simulate.gen_design(40, m * d, "gaussian_iid", stream(33))
+    idx = diagnostics._support_indices(m, d, s, s0)
+    for XT, u_s, l_s, margin, inside, outside, degenerate in _prefix_cases(X, m, d, s, s0):
+        assert not degenerate.any()
+        norms = np.einsum("ij,ij->i", XT, XT)
+        settled = diagnostics._settled(XT, idx, norms, u_s, l_s, margin)
+        assert np.array_equal(settled[inside | outside], inside[inside | outside])
+
+
+def test_shifted_stack_matches_its_definition():
+    # every split of stacks of up to 10 matrices; a stack of 8 with one
+    # upper matrix is where an in-place np.negative misread its strided view
+    rng = stream(37)
+    for k in range(1, 5):
+        gram = rng.normal(size=(2 * k, 2 * k))
+        gram = gram @ gram.T
+        for B in range(1, 11):
+            rows = np.array([rng.permutation(2 * k)[:k] for _ in range(B)])
+            G = gram[rows[:, :, None], rows[:, None, :]].transpose(1, 2, 0)
+            for t in range(B + 1):
+                A = diagnostics._shifted_stack(gram, rows[:t], rows[t:], 3.0, 0.5, 0.25)
+                want = np.concatenate([2.75 * np.eye(k)[:, :, None] - G[:, :, :t],
+                                       G[:, :, t:] - 0.75 * np.eye(k)[:, :, None]], axis=2)
+                assert np.array_equal(A, want)
 
 
 def test_union_matches_unique():
@@ -471,10 +526,11 @@ def test_most_supports_never_reach_the_inertia_tests(monkeypatch):
     )
     monkeypatch.setattr(
         diagnostics, "_prefix_settled",
-        lambda *args: prefix_calls.append(args[1]) or prefix_settled(*args),
+        lambda *args: prefix_calls.append(args[1:4]) or prefix_settled(*args),
     )
     diagnostics.dsrip(X, 6, 8, 2, 3)
-    assert prefix_calls == [(6, 8, 2, 3)]
+    assert [(sets.shape, row_sets.shape, d) for sets, row_sets, d in prefix_calls] == [
+        ((15, 2), (56, 3), 8)]
     assert 0 < sum(tested) <= 47040 // 50
 
 
@@ -484,6 +540,16 @@ def test_combinations_match_itertools(n, k):
     assert out.dtype == np.intp
     assert out.shape == (math.comb(n, k), k)
     assert out.tolist() == [list(c) for c in combinations(range(n), k)]
+
+
+@pytest.mark.parametrize("m,d,s,s0", [(6, 8, 2, 3), (250, 1, 2, 1)])
+def test_exhaustive_dsrip_builds_each_combination_table_once(monkeypatch, m, d, s, s0):
+    build = diagnostics._combinations
+    built = []
+    monkeypatch.setattr(diagnostics, "_combinations",
+                        lambda n, k: built.append((n, k)) or build(n, k))
+    diagnostics.dsrip(simulate.gen_design(100, m * d, "gaussian_iid", stream(36)), m, d, s, s0)
+    assert sorted(built) == sorted([(m, s), (d, s0)])
 
 
 def test_monte_carlo_trials_numpy_integer_is_stored_as_int():
