@@ -236,7 +236,7 @@ def _settled(XT, supports, norms, u_s, l_s, margin) -> np.ndarray:
     bottom = local if l_s > 0.0 else local[:0]
     passed = _eliminate(_shifted_stack(XU @ XU.T, local, bottom, u_s, l_s, margin), k)
     above = passed[count:] if l_s > 0.0 else True
-    return passed[:count] & above & (norms[supports].max(axis=1) > _DEGENERATE_TOL + margin)
+    return passed[:count] & above & (norms[supports.T].max(axis=0) > _DEGENERATE_TOL + margin)
 
 
 def _prefix_settled(XT, sets, row_sets, d, u_s, l_s, margin, open_top, open_bottom):
@@ -430,7 +430,7 @@ def _extreme_eigs(X, idx, grid):
         m, d, s, s0 = grid
         XT = np.ascontiguousarray(X.T)
         sets, row_sets = _combinations(m, s), _combinations(d, s0)
-        count, k = sets.shape[0] * row_sets.shape[0] ** s, s * s0
+        count, k = _support_count(*grid), s * s0
         rows_at = partial(_support_rows, sets, row_sets, d)
     else:
         rows = slice(None)
