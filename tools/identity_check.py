@@ -55,6 +55,7 @@ THREAD_VARS = ["OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"]
 
 def design(kind, m, d, s, s0, seed):
     """An n x (m*d) design of the given kind, drawn from ``stream(seed)``."""
+    # the package is imported only in a worker, from its side's source tree
     import numpy as np
     from doublesparse import simulate
     from doublesparse.core import stream
