@@ -15,7 +15,10 @@ that of an eigvalsh on every support, bit for bit. The certificates:
 - LDL^T inertia tests (:func:`_settled`, :func:`_prefix_settled`):
   elimination without pivoting keeps every pivot of (u_s - M) I - G~ and
   of G~ - (l_s + M) I positive, G~ gathered from the Gram matrix of a
-  column union;
+  column union. G~ may be a larger K x K matrix that holds the support's
+  as a principal submatrix: by Cauchy's interlacing theorem (Horn &
+  Johnson, Matrix Analysis, ch. 4) the support's eigenvalues lie between
+  its extreme ones, so a test that passes on it passes for the support;
 - a squared column norm of the support, a diagonal entry of G and so a
   lower bound on lambda_max;
 - in an enumeration, the interval of :func:`_support_intervals`, with G~
@@ -29,7 +32,10 @@ that of an eigvalsh on every support, bit for bit. The certificates:
 The margin M = 8 k (n + k^2) eps c^2 of :func:`_margin`, for supports of k
 columns of length n, covers the sum of three errors, each at most a few
 k (n + k^2) eps c^2. c^2 is the larger of the largest squared norm of a
-column in use, computed once per call, and u_s / k, so that u_s <= k c^2:
+column in use, computed once per call, and u_s / k, so that u_s <= k c^2.
+A test on a K x K matrix takes the margin with K for k: each bound below
+grows with the size, so one rule holds, the margin of the largest matrix
+a test eliminates.
 
 - G~ (or a column norm) and G are length-n dot products summed in two
   orders, each entry within gamma_n |x_u| |x_v| <= gamma_n c^2 of the
@@ -53,12 +59,17 @@ Its square root would turn that error of order eps into one of order
 sqrt(eps), so the radicand is inflated by twice the bound before the root
 is taken.
 
-:func:`_prefix_settled` computes, entry for entry, the eliminations of
-:func:`_settled` (an entry's update at pivot j reads only its own row and
-column at j and the pivot), so M covers every test it runs. It runs each
-of the two tests only on the prefixes that hold a support whose interval
-leaves that test open. Every other support's interval has shown that
-test's bound against the same M, so a skipped test counts as passed.
+:func:`_prefix_settled` first tests a prefix's K x K matrix, which holds
+every support that extends the prefix, with the margin of K. It
+eliminates the matrix with the last column's rows pivoted first, a
+symmetric permutation with the same eigenvalues, and the argument above
+holds for any pivot order. The prefixes that fail take the eliminations
+of :func:`_settled` computed entry for entry (an entry's update at pivot
+j reads only its own row and column at j and the pivot), with the margin
+of k. It runs each of the two tests only on the prefixes that hold a
+support whose interval leaves that test open. Every other support's
+interval has shown that test's bound against the margin of k, so a
+skipped test counts as passed.
 """
 
 from __future__ import annotations
@@ -101,7 +112,8 @@ NOISE_EVENT_CONSTANT = 10.0
 _EXHAUSTIVE_GUARD = 10**5
 # working bytes per chunk of supports: gathered rows, Gram matrices, the
 # inertia-test stack and the chunk's column union with its Gram matrix; also
-# per block of interval-table rows and per chunk of interval reads
+# per block of interval-table rows, per chunk of interval reads, and per
+# chunk of column sets and of prefixes in the prefix pass
 _CHUNK_BYTES = 1 << 22
 _DEGENERATE_TOL = 1e-12
 # an exhaustive enumeration seeds u_s and l_s with the exact eigenvalues of
@@ -156,7 +168,7 @@ def _support_rows(sets, row_sets, d, positions) -> np.ndarray:
     rank, digits = np.divmod(positions, r ** s)
     digits = digits[:, None] // r ** np.arange(s - 1, -1, -1) % r
     idx = d * sets[rank][:, :, None] + row_sets[digits]
-    return idx.reshape(-1, s * row_sets.shape[1])
+    return idx.reshape(len(positions), s * row_sets.shape[1])
 
 
 def _support_count(m, d, s, s0) -> int:
@@ -218,7 +230,7 @@ def _eliminate(A, pivots) -> np.ndarray:
     with np.errstate(all="ignore"):  # a failed pivot may spread inf or nan
         for j in range(min(pivots, A.shape[0] - 1)):
             A[j + 1:, j + 1:] -= A[j + 1:, j, None] * (A[j + 1:, j] / A[j, j])
-        return np.all(A[range(pivots), range(pivots)] > 0.0, axis=0)
+        return np.all(np.diagonal(A)[..., :pivots] > 0.0, axis=-1)
 
 
 def _settled(XT, supports, norms, u_s, l_s, margin) -> np.ndarray:
@@ -239,60 +251,99 @@ def _settled(XT, supports, norms, u_s, l_s, margin) -> np.ndarray:
     return passed[:count] & above & (norms[supports.T].max(axis=0) > _DEGENERATE_TOL + margin)
 
 
-def _prefix_settled(XT, sets, row_sets, d, u_s, l_s, margin, open_top, open_bottom):
+def _prefix_settled(XT, sets, row_sets, d, u_s, l_s, c2, open_top, open_bottom):
     """Per support of the enumeration over ``sets = _combinations(m, s)``
     and ``row_sets = _combinations(d, s0)``: whether the two LDL^T inertia
-    tests of :func:`_settled` certify lambda_max < u_s - margin and
-    lambda_min > l_s + margin. The upper test runs on the prefixes (below)
-    that hold a support of the bool mask ``open_top``, the lower test on
-    those that hold one of ``open_bottom``; a support that a test skips
-    counts as passing it (see the module docstring). The degeneracy test
-    is left to the caller.
+    tests of :func:`_settled` certify lambda_max < u_s - M and lambda_min >
+    l_s + M, with M the margin of the largest matrix a test eliminates and
+    ``c2`` the largest squared column norm. The upper test runs on the
+    prefixes (below) that hold a support of the bool mask ``open_top``, the
+    lower test on those that hold one of ``open_bottom``; a support that a
+    test skips counts as passing it (see the module docstring). The
+    degeneracy test is left to the caller.
 
-    A support's first P = (s - 1) s0 pivots depend only on its prefix: the
-    column set and the row subsets of its first s - 1 columns. Each prefix
-    is eliminated once per test, on a K x K matrix (K = P + d) that holds
-    the prefix and every row of the last column, from the Gram matrix of
-    the chunk's column union as in :func:`_settled`. The Schur complement's
-    s0 x s0 block at each of the r row subsets of the last column then
-    finishes the r supports that extend the prefix. None is settled when a
-    prefix matrix is larger than its r supports' own (K^2 > r k^2); in a
-    chunk, when the union's Gram matrix is larger than both the chunk's
-    prefix matrices and ``_CHUNK_BYTES``."""
+    A support's prefix is its column set and the row subsets of its first
+    s - 1 columns, P = (s - 1) s0 rows. The prefix's K x K matrix (K = P +
+    d) holds those rows and every row of the last column, so the r
+    supports that extend the prefix are its principal submatrices, and a
+    test that passes on it passes on all r (interlacing). Per chunk of
+    column sets, from the Gram matrix of the chunk's column union:
+
+    - each column set's s d x s d matrix is eliminated once per test, the
+      last column's d rows first, and each prefix's P x P block of the
+      Schur complement then takes P more pivots: entry for entry, the
+      K x K elimination with the last column pivoted first. A column set
+      takes a test only when most of its prefixes take it: for a few,
+      the eliminations below cost less than its own;
+    - the prefixes still open take the test as their supports'
+      eliminations, with the first P pivots shared: the K x K matrix with
+      the prefix pivoted first, then the s0 x s0 block of the Schur
+      complement at each of the r row subsets of the last column.
+
+    None is settled when a prefix matrix is larger than its r supports'
+    own (K^2 > r k^2), or in a chunk whose union's Gram matrix is larger
+    than both the chunk's column-set matrices and ``_CHUNK_BYTES``."""
+    n = XT.shape[1]
     s, s0 = sets.shape[1], row_sets.shape[1]
     k, P = s * s0, (s - 1) * s0
-    K = P + d
+    K, S = P + d, s * d
     r = row_sets.shape[0]
     R = r ** (s - 1)  # prefixes per column set
-    count = sets.shape[0] * R
-    settled = np.zeros((count, r), dtype=bool)
+    settled = np.ones((sets.shape[0] * R, r), dtype=bool)
     if K * K > r * k * k:
-        return settled.reshape(-1)
-    # per prefix, whether it takes the upper and the lower test
-    tested = [mask.reshape(count, r).any(1) for mask in (open_top, open_bottom)]
+        return np.zeros(settled.size, dtype=bool)
+    # per column set and prefix, whether it takes the upper and the lower test
+    tested = [mask.reshape(-1, R, r).any(2) for mask in (open_top, open_bottom)]
+    whole = [2 * t.sum(1) > R for t in tested]
+    margins = _margin(K, n, c2, u_s), _margin(k, n, c2, u_s)
+    # a column set's rows: the d of its last column, then the d of each
+    # other column in turn; a prefix's K rows among them: its own P, then
+    # the last column's d
+    order = [s - 1, *range(s - 1)]
     prefix = np.indices((r,) * (s - 1)).reshape(s - 1, R)
+    within = np.empty((R, K), dtype=np.intp)
+    within[:, :P] = (d + d * np.arange(s - 1)[:, None, None] + row_sets[prefix]).transpose(
+        1, 0, 2).reshape(R, P)
+    within[:, P:] = np.arange(d)
+    schur = within[:, :P].T  # P x R
     last = P + row_sets.T
-    # a prefix's two shifted matrices and temporaries, and its leaf blocks
-    step = max(1, _CHUNK_BYTES // (8 * (3 * K * K + 3 * s0 * s0 * r)))
-    for start in range(0, count, step):
-        states = np.arange(start, min(count, start + step))
-        cols = sets[states // R]
-        rows = np.concatenate(
-            [d * cols[:, a, None] + row_sets[prefix[a, states % R]] for a in range(s - 1)]
-            + [d * cols[:, -1, None] + np.arange(d)], axis=1)
+    todo = np.flatnonzero(tested[0].any(1) | tested[1].any(1))
+    # a column set's two shifted matrices and temporaries, and its prefix
+    # blocks; per prefix, its two shifted matrices and temporaries and its
+    # leaf blocks
+    step = max(1, _CHUNK_BYTES // (8 * (3 * S * S + 3 * P * P * R)))
+    leaf_step = max(1, _CHUNK_BYTES // (8 * (3 * K * K + 3 * s0 * s0 * r)))
+    for start in range(0, todo.size, step):
+        chosen = todo[start:start + step]
+        rows = (d * sets[chosen][:, order, None] + np.arange(d)).reshape(chosen.size, S)
         union, local = _union(rows, XT.shape[0])
-        if union.size ** 2 > max(rows.size * K, _CHUNK_BYTES // 8):
+        if union.size ** 2 > max(rows.size * S, _CHUNK_BYTES // 8):
+            settled.reshape(-1, R, r)[chosen] = False
             continue
         XU = XT[union]
-        upper, lower = (np.flatnonzero(t[states]) for t in tested)
-        A = _shifted_stack(XU @ XU.T, local[upper], local[lower], u_s, l_s, margin)
-        ok = _eliminate(A, P)
-        leaves = A[last[:, None], last[None, :]]  # s0 x s0 x r x (upper + lower)
-        passed = _eliminate(leaves, s0) & ok
-        below, above = np.ones((2, r, states.size), dtype=bool)
-        below[:, upper] = passed[:, :upper.size]
-        above[:, lower] = passed[:, upper.size:]
-        settled[states] = (below & above).T
+        gram = XU @ XU.T
+        left = [t[chosen] for t in tested]
+        upper, lower = (np.flatnonzero(w[chosen]) for w in whole)
+        if upper.size + lower.size:
+            A = _shifted_stack(gram, local[upper], local[lower], u_s, l_s, margins[0])
+            ok = _eliminate(A, d)
+            blocks = A[schur[:, None], schur[None, :]]  # P x P x R x (upper + lower)
+            blocks = blocks.reshape(P, P, R * ok.size)
+            passed = (_eliminate(blocks, P).reshape(R, -1) & ok).T
+            left[0][upper] &= ~passed[:upper.size]
+            left[1][lower] &= ~passed[upper.size:]
+        sides = [np.nonzero(t) for t in left]  # (column set in chunk, prefix)
+        stacks = [local[at[:, None], within[j]] for at, j in sides]
+        states = [chosen[at] * R + j for at, j in sides]
+        for lo in range(0, max(len(ids) for ids in states), leaf_step):
+            part = slice(lo, lo + leaf_step)
+            top, bottom = (stack[part] for stack in stacks)
+            A = _shifted_stack(gram, top, bottom, u_s, l_s, margins[1])
+            ok = _eliminate(A, P)
+            leaves = A[last[:, None], last[None, :]]  # s0 x s0 x r x (top + bottom)
+            passed = (_eliminate(leaves, s0) & ok).T
+            settled[states[0][part]] &= passed[:len(top)]
+            settled[states[1][part]] &= passed[len(top):]
     return settled.reshape(-1)
 
 
@@ -409,12 +460,13 @@ def _extreme_eigs(X, idx, grid):
     A few supports are eigendecomposed first, which seeds u_s and l_s: in an
     enumeration of more than 2 * _SEED supports, the _SEED with the highest
     upper ends and the _SEED with the lowest lower ends of their
-    :func:`_support_intervals` (at most half a chunk each), and otherwise
-    the first chunk. An enumeration then drops every support its interval
-    certifies against the seeded values, and every support that
-    :func:`_prefix_settled` certifies with an interval mean above the
-    degeneracy tolerance plus M, each prefix test running only where a
-    pending support's interval leaves it open. The supports left run in
+    :func:`_support_intervals` (at most half a chunk each; with ties at
+    either cut, the first supports at or past a cut, as many as without
+    ties), and otherwise the first chunk. An enumeration then drops every
+    support its interval certifies against the seeded values, and every
+    support that :func:`_prefix_settled` certifies with an interval mean
+    above the degeneracy tolerance plus M, each prefix test running only
+    where a pending support's interval leaves it open. The supports left run in
     chunks: in each, those that their interval (in an enumeration) or
     :func:`_settled` certifies are skipped, and the rest get the exact path,
     one stacked eigvalsh. The module docstring states why the result is
@@ -456,10 +508,11 @@ def _extreme_eigs(X, idx, grid):
     width = max(1, min(_SEED, chunk // 2))
     if idx is None and count > 2 * width:
         intervals = _support_intervals(XT, d, sets, row_sets)
-        seed = np.union1d(
-            np.argpartition(intervals[2], -width)[-width:],
-            np.argpartition(intervals[1], width)[:width],
-        )
+        # the width-th highest top and lowest bottom; ties at either cut
+        # (quantized or zero columns) must not grow the seed past a chunk
+        high = np.partition(intervals[2], count - width)[count - width]
+        low = np.partition(intervals[1], width - 1)[width - 1]
+        seed = np.flatnonzero((intervals[2] >= high) | (intervals[1] <= low))[:2 * width]
     u_s, l_s, degenerate = _decompose(XT, rows_at(seed), -math.inf, math.inf, 0)
     pending = np.ones(count, dtype=bool)
     pending[seed] = False
@@ -468,7 +521,7 @@ def _extreme_eigs(X, idx, grid):
         top, bottom, flat = _open(intervals, u_s, l_s, margin)
         pending &= top | bottom | flat
         if pending.any():
-            settled = _prefix_settled(XT, sets, row_sets, d, u_s, l_s, margin,
+            settled = _prefix_settled(XT, sets, row_sets, d, u_s, l_s, c2,
                                       pending & top, pending & bottom)
             pending &= ~settled | flat
     rest = np.flatnonzero(pending)
@@ -531,15 +584,20 @@ def dsrip(
     the 128 with the lowest bottoms are eigendecomposed first, and every
     support whose interval then shows that it cannot move an extreme or be
     degenerate is settled. The rest then take the two LDL^T inertia tests
-    with the elimination of their first s - 1 columns shared by the
-    C(d, s0) supports that extend them, each test only where an interval
-    leaves it open: per chunk of about 4 MiB of prefixes, one O(n*u^2) Gram
-    product of its column union of u columns, then O(P*K^2) per prefix and
-    test, with P = (s - 1) s0 and K = P + d, and O(s0^3) per support and
-    test (skipped when K^2 > C(d, s0) k^2). On Gaussian designs about a
-    tenth of the prefixes take the upper test, and the lower one runs on
-    nearly all of them at (6, 8, 2, 3), so this costs about the same for
-    every design of the grid; it settles all but a few of the supports.
+    by prefix, its column set and the row subsets of its first s - 1
+    columns (P = (s - 1) s0 rows, K = P + d with every row of the last
+    column), each test only where an interval leaves it open, and none
+    when K^2 > C(d, s0) k^2. Per chunk of about 4 MiB of column sets, one
+    O(n*u^2) Gram product of its column union of u columns; then, on each
+    column set where most prefixes take a test, O(d (s d)^2) to eliminate
+    its last column and O(P^3) per prefix, which settles the C(d, s0)
+    supports that extend a prefix whose K x K matrix passes; and for the
+    prefixes left, O(P*K^2) per prefix and test and O(s0^3) per support
+    and test. On Gaussian designs at (6, 8, 2, 3) about a tenth of the
+    prefixes take the upper test and nearly all the lower one, of which
+    the K x K test settles 72-99% (12 designs, n = 100), so this costs
+    about the same for every design of the grid; it settles all but a few
+    of the supports.
     The rest, and every chunk of ``monte_carlo`` supports after the first,
     go to the two LDL^T inertia tests when the chunk's column union has
     u <= k sqrt(chunk) columns: one O(n*u^2) union Gram product per chunk

@@ -68,6 +68,18 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _checked_values(U: GroupedMatrix, lam: float) -> np.ndarray:
+    """The values of ``U``, after checking that ``lam`` is positive and that
+    every entry of ``U`` is finite: a NaN entry would otherwise fail every
+    comparison and drop out, and an infinite one would pass through."""
+    if not lam > 0:  # a NaN lam fails this too
+        raise ValueError("lam must be positive")
+    V = U.values
+    if not np.isfinite(V).all():
+        raise ValueError("U must be finite")
+    return V
+
+
 def step1_entrywise(U: GroupedMatrix, lam: float) -> GroupedMatrix:
     """Entrywise hard thresholding: keep entries with |value| >= lam.
 
@@ -75,24 +87,19 @@ def step1_entrywise(U: GroupedMatrix, lam: float) -> GroupedMatrix:
     ``U``, so that the matrix stage's column and row sums add in the same
     order for the solver's column-major gradient step as for any other
     input."""
-    if not lam > 0:  # a NaN lam fails this too
-        raise ValueError("lam must be positive")
-    V = U.values
+    V = _checked_values(U, lam)
     out = np.ascontiguousarray(np.where(np.abs(V) >= lam, V, 0.0))
     return GroupedMatrix._wrap(_frozen(out))
 
 
 def _matrix_stage(
-    U: GroupedMatrix, lam: float, s: int, s0: int, row_condition: bool
+    V: np.ndarray, lam: float, s: int, s0: int, row_condition: bool
 ) -> ThresholdOutcome:
-    """Column condition, then the row condition unless ``row_condition`` is
-    false, in which case i_max = d and every nonzero entry of a selected
-    column stays active."""
-    if not lam > 0:
-        raise ValueError("lam must be positive")
-    d, m = U.rows, U.cols
+    """Column condition on the checked values ``V`` of U, then the row
+    condition unless ``row_condition`` is false, in which case i_max = d and
+    every nonzero entry of a selected column stays active."""
+    d, m = V.shape
     _check_budget(m, d, s, s0)
-    V = U.values
     A = np.abs(V)
 
     col_scores = (V * V).sum(axis=0)
@@ -128,7 +135,7 @@ def step2_matrix(U: GroupedMatrix, lam: float, s: int, s0: int) -> ThresholdOutc
     non-increasing order, the rank condition holds exactly when
     |U_ij| > desc_j[i_max] (0-based), and for every entry when i_max = d.
     """
-    return _matrix_stage(U, lam, s, s0, row_condition=True)
+    return _matrix_stage(_checked_values(U, lam), lam, s, s0, row_condition=True)
 
 
 def apply(U: GroupedMatrix, lam: float, budget: SparsityBudget) -> ThresholdOutcome:
@@ -147,7 +154,7 @@ def apply_heterogeneous(
     if budget.mode != "heterogeneous":
         raise ValueError("expected a heterogeneous-mode budget")
     return _matrix_stage(
-        step1_entrywise(U, lam), lam, budget.s, budget.s0, row_condition=False
+        step1_entrywise(U, lam).values, lam, budget.s, budget.s0, row_condition=False
     )
 
 

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from doublesparse.core import NoiseModel, stream
 from doublesparse import diagnostics, simulate
+from float_cases import same_bits
 
 
 def test_identity_design_delta_zero_exact():
@@ -261,18 +262,12 @@ def small_grids(draw):
     return m, d, draw(st.integers(1, min(m, 3))), draw(st.integers(1, min(d, 3)))
 
 
-@st.composite
-def dsrip_cases(draw):
-    """A grid, small or with many column sets, and a design that stresses the
-    certified skipping: exact ties from integer entries, duplicated and
-    all-zero columns, column scales over six decades, supports whose Gram
-    matrices are permutations of one another, and n below the support size."""
-    m, d, s, s0 = draw(st.one_of(small_grids(), st.sampled_from(WIDE_GRIDS)))
-    n, p = draw(st.integers(1, 14)), m * d
-    rng = stream(draw(st.integers(0, 2**32 - 1)))
-    kind = draw(st.sampled_from(
-        ["gaussian", "quantized", "duplicated", "zero", "unnormalized"]
-    ))
+DESIGN_KINDS = ["gaussian", "quantized", "duplicated", "zero", "unnormalized"]
+
+
+def _stressed_design(kind, n, p, rng):
+    # exact ties from integer entries, duplicated and all-zero columns, or
+    # column scales over six decades
     X = simulate.gen_design(n, p, "gaussian_iid", rng)
     if kind == "quantized":
         X = np.round(2.0 * X)
@@ -282,6 +277,19 @@ def dsrip_cases(draw):
         X[:, rng.random(p) < 0.4] = 0.0
     elif kind == "unnormalized":
         X *= 10.0 ** rng.uniform(-3.0, 3.0, size=p)
+    return X
+
+
+@st.composite
+def dsrip_cases(draw):
+    """A grid, small or with many column sets, and a design that stresses the
+    certified skipping: one of ``_stressed_design``'s kinds, supports whose
+    Gram matrices are permutations of one another, and n below the support
+    size."""
+    m, d, s, s0 = draw(st.one_of(small_grids(), st.sampled_from(WIDE_GRIDS)))
+    n, p = draw(st.integers(1, 14)), m * d
+    rng = stream(draw(st.integers(0, 2**32 - 1)))
+    X = _stressed_design(draw(st.sampled_from(DESIGN_KINDS)), n, p, rng)
     if draw(st.booleans()):  # every column group the same d columns, reordered
         X = np.hstack([X[:, rng.permutation(d)] for _ in range(m)])
     method = draw(st.sampled_from(["exhaustive", "monte_carlo"]))
@@ -352,7 +360,7 @@ def _prefix_cases(X, m, d, s, s0):
     Xs = XT[diagnostics._support_indices(m, d, s, s0)]
     eigs = np.linalg.eigvalsh(Xs @ Xs.transpose(0, 2, 1))
     top, bottom = eigs[:, -1], eigs[:, 0]
-    c2 = float(np.einsum("ij,ij->j", X, X).max())
+    c2 = _largest_norm(XT)
     for qu, ql in [(1.0, 0.0), (0.9, 0.2), (0.5, 0.5), (1.0, None)]:
         u_s = float(np.quantile(top, qu))
         l_s = 0.0 if ql is None else max(float(np.quantile(bottom, ql)), 0.0)
@@ -362,12 +370,18 @@ def _prefix_cases(X, m, d, s, s0):
         yield XT, u_s, l_s, margin, inside, outside, top < 1e-12
 
 
-def _every_prefix(XT, grid, u_s, l_s, margin):
+def _largest_norm(XT):
+    # c^2 of the margin, as an exhaustive dsrip computes it
+    return float(np.einsum("ij,ij->i", XT, XT).max())
+
+
+def _every_prefix(XT, grid, u_s, l_s, c2=None):
     # both tests on every prefix, the lower one only while l_s > 0, as the
     # enumeration's masks have it
     m, d, s, s0 = grid
     tested = np.ones(diagnostics._support_count(*grid), dtype=bool)
-    return diagnostics._prefix_settled(XT, *_tables(*grid), d, u_s, l_s, margin,
+    c2 = _largest_norm(XT) if c2 is None else c2
+    return diagnostics._prefix_settled(XT, *_tables(*grid), d, u_s, l_s, c2,
                                        tested, tested & (l_s > 0.0))
 
 
@@ -376,8 +390,8 @@ def _every_prefix(XT, grid, u_s, l_s, margin):
 def test_prefix_settled_never_settles_a_support_beyond_the_thresholds(case):
     m, d, s, s0, X, _, _, _, chunk_bytes = case
     with mock.patch.object(diagnostics, "_CHUNK_BYTES", chunk_bytes):
-        for XT, u_s, l_s, margin, _, outside, _ in _prefix_cases(X, m, d, s, s0):
-            settled = _every_prefix(XT, (m, d, s, s0), u_s, l_s, margin)
+        for XT, u_s, l_s, _, _, outside, _ in _prefix_cases(X, m, d, s, s0):
+            settled = _every_prefix(XT, (m, d, s, s0), u_s, l_s)
             assert not np.any(settled & outside)
 
 
@@ -397,10 +411,10 @@ def test_prefix_settled_with_open_masks_never_settles_a_support_beyond_the_thres
             intervals = diagnostics._support_intervals(XT, d, *tables)
             top, bottom, flat = diagnostics._open(intervals, u_s, l_s, margin)
             pending = top | bottom | flat
-            settled = diagnostics._prefix_settled(XT, *tables, d, u_s, l_s, margin,
+            settled = diagnostics._prefix_settled(XT, *tables, d, u_s, l_s, _largest_norm(XT),
                                                   pending & top, pending & bottom)
             assert not np.any(settled & outside & pending)
-            full = _every_prefix(XT, grid, u_s, l_s, margin)
+            full = _every_prefix(XT, grid, u_s, l_s)
             assert np.all(settled[pending] >= full[pending])
 
 
@@ -415,8 +429,8 @@ def test_prefix_settled_matches_the_exact_eigenvalues(monkeypatch, m, d, s, s0, 
     if chunk_bytes is not None:
         monkeypatch.setattr(diagnostics, "_CHUNK_BYTES", chunk_bytes)
     X = simulate.gen_design(40, m * d, "gaussian_iid", stream(33))
-    for XT, u_s, l_s, margin, inside, outside, _ in _prefix_cases(X, m, d, s, s0):
-        settled = _every_prefix(XT, (m, d, s, s0), u_s, l_s, margin)
+    for XT, u_s, l_s, _, inside, outside, _ in _prefix_cases(X, m, d, s, s0):
+        settled = _every_prefix(XT, (m, d, s, s0), u_s, l_s)
         assert np.array_equal(settled[inside | outside], inside[inside | outside])
 
 
@@ -425,6 +439,118 @@ def test_prefix_settled_leaves_every_support_when_a_prefix_outgrows_its_supports
     X = simulate.gen_design(20, 24, "gaussian_iid", stream(34))
     settled = _every_prefix(np.ascontiguousarray(X.T), (12, 2, 2, 1), 1e9, 0.0, 0.0)
     assert settled.shape == (264,) and not settled.any()
+
+
+def _recording(calls):
+    # _eliminate, recording each call's pivot count, input and result
+    eliminate = diagnostics._eliminate
+
+    def record(A, pivots):
+        before = A.copy()
+        passed = eliminate(A, pivots)
+        calls.append((pivots, before, passed))
+        return passed
+
+    return record
+
+
+@pytest.mark.parametrize("m,d,s,s0", [(1, 5, 1, 2), (2, 4, 2, 2), (3, 3, 3, 1), (3, 4, 3, 2)])
+def test_prefix_schur_blocks_match_the_last_column_first_elimination(monkeypatch, m, d, s, s0):
+    # one column set, every prefix taking both tests: the column-set stage's
+    # P x P block per prefix, after the last column's d pivots, is bit for
+    # bit the trailing block of the prefix's K x K elimination with the last
+    # column pivoted first, and its verdict is that of the whole K x K test
+    grid = (m, d, s, s0)
+    X = simulate.gen_design(20, m * d, "gaussian_iid", stream(38))
+    XT = np.ascontiguousarray(X.T)
+    sets, row_sets = _tables(*grid)
+    r, P = row_sets.shape[0], (s - 1) * s0
+    R, K = r ** (s - 1), P + d
+    calls = []
+    monkeypatch.setattr(diagnostics, "_eliminate", _recording(calls))
+    u_s, l_s, c2 = 100.0, 0.5, _largest_norm(XT)
+    _every_prefix(XT, grid, u_s, l_s, c2)
+    (first, _, ok), (second, blocks, passed) = calls[:2]
+    assert (first, second, blocks.shape) == (d, P, (P, P, 2 * R))
+    monkeypatch.undo()
+    # the K rows of each prefix: the last column's d, then the prefix's own
+    prefixes = diagnostics._support_rows(np.arange(s - 1)[None], row_sets, d, np.arange(R))
+    rows = np.hstack([np.broadcast_to(d * (s - 1) + np.arange(d), (R, d)), prefixes])
+    gram = XT @ XT.T
+    margin = diagnostics._margin(K, X.shape[0], c2, u_s)
+    A = diagnostics._shifted_stack(gram, rows, rows, u_s, l_s, margin)  # upper, then lower
+    whole = diagnostics._eliminate(A.copy(), K)
+    diagnostics._eliminate(A, d)
+    # the stage's blocks are per prefix, then per test
+    blocks = blocks.reshape(P, P, R, 2).transpose(0, 1, 3, 2).reshape(P, P, 2 * R)
+    assert same_bits(blocks, A[d:, d:])
+    verdict = (passed.reshape(R, 2) & ok).T.reshape(-1)
+    assert np.array_equal(verdict, whole)
+
+
+def _column_set_stage_only():
+    # the leaf tests eliminate 4-d stacks of s0 x s0 blocks, r per prefix;
+    # failing them all leaves what the column-set stage settles
+    eliminate = diagnostics._eliminate
+    return mock.patch.object(diagnostics, "_eliminate",
+                             lambda A, pivots: eliminate(A, pivots) & (A.ndim < 4))
+
+
+def _assert_stage_sound(X, grid):
+    # a prefix the column-set stage certifies settles all r supports that
+    # extend it, and none of them is beyond the thresholds by eigvalsh;
+    # returns how many it settled
+    r = math.comb(grid[1], grid[3])
+    settled_count = 0
+    for XT, u_s, l_s, _, _, outside, _ in _prefix_cases(X, *grid):
+        with _column_set_stage_only():
+            settled = _every_prefix(XT, grid, u_s, l_s).reshape(-1, r)
+        assert np.all(settled.all(1) | ~settled.any(1))
+        assert not np.any(settled.reshape(-1) & outside)
+        settled_count += int(settled.sum())
+    return settled_count
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(dsrip_cases())
+def test_column_set_stage_never_certifies_a_prefix_beyond_the_thresholds(case):
+    m, d, s, s0, X, _, _, _, chunk_bytes = case
+    with mock.patch.object(diagnostics, "_CHUNK_BYTES", chunk_bytes):
+        _assert_stage_sound(X, (m, d, s, s0))
+
+
+@pytest.mark.parametrize("m,d,s,s0", [(8, 6, 1, 2), (5, 6, 1, 3), (4, 4, 3, 2), (3, 5, 3, 2),
+                                      (6, 8, 2, 3)])
+@pytest.mark.parametrize("kind", DESIGN_KINDS)
+def test_column_set_stage_settles_whole_prefixes_soundly(m, d, s, s0, kind):
+    # s = 1 (a prefix is its column set) and s = 3, on every design kind;
+    # on Gaussian designs the stage settles supports at every grid
+    X = _stressed_design(kind, 40, m * d, stream(39))
+    settled_count = _assert_stage_sound(X, (m, d, s, s0))
+    assert kind != "gaussian" or settled_count > 0
+
+
+CHUNK_GRIDS = [(4, 6, 2, 2), (3, 5, 3, 2), (50, 6, 1, 2), (30, 1, 2, 1)]
+
+
+@pytest.mark.parametrize("chunk_bytes", [1, 3000, 5000, 20000, None])
+def test_exhaustive_dsrip_matches_eigvalsh_across_chunk_boundaries(monkeypatch, chunk_bytes):
+    # seeded designs of every kind on grids that reach the prefix pass
+    # (s = 1, 2 and 3 and r = 1, more than 2 * _SEED supports), with every chunk size
+    # the tests use; the report is that of eigvalsh on every support
+    if chunk_bytes is not None:
+        monkeypatch.setattr(diagnostics, "_CHUNK_BYTES", chunk_bytes)
+    rng = stream(41)
+    for grid in CHUNK_GRIDS:
+        assert diagnostics._support_count(*grid) > 2 * diagnostics._SEED
+        for kind in DESIGN_KINDS:
+            X = _stressed_design(kind, int(rng.integers(3, 15)), grid[0] * grid[1], rng)
+            rep = diagnostics.dsrip(X, *grid)
+            Xs = np.ascontiguousarray(X.T)[diagnostics._support_indices(*grid)]
+            eigs = np.linalg.eigvalsh(Xs @ Xs.transpose(0, 2, 1))
+            want = (eigs[:, -1].max(), max(eigs[:, 0].min(), 0.0),
+                    int(np.count_nonzero(eigs[:, -1] < 1e-12)))
+            assert (rep.u_s, rep.l_s, rep.degenerate_supports) == want, (grid, kind)
 
 
 @settings(max_examples=400, deadline=None, derandomize=True, database=None)

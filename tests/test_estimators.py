@@ -131,6 +131,20 @@ def test_unnormalized_design_rejected():
         estimators.dsiht(X, np.zeros(8), budget, ThresholdSchedule(1.0, 0.5, 0.5))
 
 
+@pytest.mark.parametrize("solver,mode", [(estimators.dsiht, "hard"),
+                                         (estimators.dsiht_heterogeneous, "heterogeneous")])
+def test_overflowing_iterate_raises_floating_point_error(solver, mode):
+    # finite inputs whose forward product overflows: the solver reports its
+    # own iterate, before the threshold operator would reject a non-finite U
+    rng = stream(16)
+    budget = getattr(SparsityBudget, mode)(4, 4, 1, 1)
+    X = simulate.gen_design(12, 16, "gaussian_iid", rng)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(FloatingPointError, match="solver iterate"):
+            solver(X, np.zeros(12), budget, ThresholdSchedule(1.0, 0.5, 0.5),
+                   beta0=np.full(16, 1.5e308))
+
+
 @pytest.mark.parametrize("name", ["X", "Y", "beta0", "truth"])
 def test_non_finite_input_rejected(name):
     rng = stream(15)

@@ -237,3 +237,30 @@ def test_rejects_bad_arguments():
     ):
         with pytest.raises(ValueError, match="^lam must be positive"):
             call()
+
+
+NON_FINITE_U = [
+    ("nan entry", (1, 2), float("nan")),
+    ("inf entry", (0, 0), float("inf")),
+    ("-inf entry", (2, 1), float("-inf")),
+]
+PUBLIC_STAGES = {
+    "step1_entrywise": lambda U: threshold.step1_entrywise(U, 0.5),
+    "step2_matrix": lambda U: threshold.step2_matrix(U, 0.5, s=2, s0=1),
+    "apply": lambda U: threshold.apply(U, 0.5, hard(3, 3, 2, 1)),
+    "apply_heterogeneous": lambda U: threshold.apply_heterogeneous(
+        U, 0.5, SparsityBudget.heterogeneous(3, 3, 2, 1)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PUBLIC_STAGES))
+@pytest.mark.parametrize("case,at,value", NON_FINITE_U)
+def test_public_stages_reject_a_non_finite_U(name, case, at, value):
+    # a NaN fails every comparison, so without the check it would drop out
+    # of the output as a zero; an infinity would pass straight through
+    V = np.full((3, 3), 2.0)
+    V[at] = value
+    with pytest.raises(ValueError, match="^U must be finite"):
+        PUBLIC_STAGES[name](GroupedMatrix(V))
+    V[at] = 2.0
+    PUBLIC_STAGES[name](GroupedMatrix(V))  # the same input, finite, passes

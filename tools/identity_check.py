@@ -14,7 +14,7 @@ otherwise.
 The corpus:
 
 - ``dsrip/...``: every ``DsripReport`` field, floats as ``float.hex``, for
-  14 grids x 3 seeds x 6 designs (Gaussian, quantized, duplicated columns,
+  16 grids x 3 seeds x 6 designs (Gaussian, quantized, duplicated columns,
   zero columns, unnormalized columns, n < k) x both methods;
 - ``bruteforce/...``: ``constrained_ls_bruteforce`` on tie-heavy inputs
   with fixed seeds, every entry's bytes;
@@ -37,11 +37,14 @@ import sys
 from pathlib import Path
 
 # (m, d, s, s0): s = 1, s = 3, s0 = d, one row subset (d = 1 or s0 = d),
-# many column sets, and the grids the benchmark and the tests use
+# many column sets, and the grids the benchmark and the tests use; then a
+# grid whose prefix matrices outgrow their supports (K^2 > r k^2, so the
+# prefix pass is skipped) and an s = 3 grid of 13 500 supports
 DSRIP_GRIDS = [
     (6, 8, 2, 3), (4, 10, 2, 3), (8, 6, 2, 2), (40, 2, 2, 1), (250, 1, 2, 1),
     (5, 4, 3, 2), (10, 4, 3, 2), (4, 4, 2, 2), (5, 3, 3, 1), (6, 4, 1, 2),
     (3, 6, 2, 6), (20, 1, 2, 1), (12, 2, 2, 1), (3, 5, 3, 2),
+    (3, 12, 2, 1), (4, 6, 3, 2),
 ]
 DESIGNS = ["gaussian", "quantized", "duplicated", "zero", "unnormalized", "n_below_k"]
 SEEDS = [0, 1, 2]
