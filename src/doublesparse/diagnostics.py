@@ -168,7 +168,7 @@ def _support_rows(sets, row_sets, d, positions) -> np.ndarray:
     rank, digits = np.divmod(positions, r ** s)
     digits = digits[:, None] // r ** np.arange(s - 1, -1, -1) % r
     idx = d * sets[rank][:, :, None] + row_sets[digits]
-    return idx.reshape(len(positions), s * row_sets.shape[1])
+    return idx.reshape(-1, s * row_sets.shape[1])
 
 
 def _support_count(m, d, s, s0) -> int:
@@ -294,8 +294,10 @@ def _prefix_settled(XT, sets, row_sets, d, u_s, l_s, c2, open_top, open_bottom):
         return np.zeros(settled.size, dtype=bool)
     # per column set and prefix, whether it takes the upper and the lower test
     tested = [mask.reshape(-1, R, r).any(2) for mask in (open_top, open_bottom)]
+    # per column set, whether it takes each test on its prefixes' K x K
+    # matrices: when most of its prefixes take the test
     whole = [2 * t.sum(1) > R for t in tested]
-    margins = _margin(K, n, c2, u_s), _margin(k, n, c2, u_s)
+    margin_K, margin_k = _margin(K, n, c2, u_s), _margin(k, n, c2, u_s)
     # a column set's rows: the d of its last column, then the d of each
     # other column in turn; a prefix's K rows among them: its own P, then
     # the last column's d
@@ -325,7 +327,7 @@ def _prefix_settled(XT, sets, row_sets, d, u_s, l_s, c2, open_top, open_bottom):
         left = [t[chosen] for t in tested]
         upper, lower = (np.flatnonzero(w[chosen]) for w in whole)
         if upper.size + lower.size:
-            A = _shifted_stack(gram, local[upper], local[lower], u_s, l_s, margins[0])
+            A = _shifted_stack(gram, local[upper], local[lower], u_s, l_s, margin_K)
             ok = _eliminate(A, d)
             blocks = A[schur[:, None], schur[None, :]]  # P x P x R x (upper + lower)
             blocks = blocks.reshape(P, P, R * ok.size)
@@ -338,7 +340,7 @@ def _prefix_settled(XT, sets, row_sets, d, u_s, l_s, c2, open_top, open_bottom):
         for lo in range(0, max(len(ids) for ids in states), leaf_step):
             part = slice(lo, lo + leaf_step)
             top, bottom = (stack[part] for stack in stacks)
-            A = _shifted_stack(gram, top, bottom, u_s, l_s, margins[1])
+            A = _shifted_stack(gram, top, bottom, u_s, l_s, margin_k)
             ok = _eliminate(A, P)
             leaves = A[last[:, None], last[None, :]]  # s0 x s0 x r x (top + bottom)
             passed = (_eliminate(leaves, s0) & ok).T

@@ -441,19 +441,6 @@ def test_prefix_settled_leaves_every_support_when_a_prefix_outgrows_its_supports
     assert settled.shape == (264,) and not settled.any()
 
 
-def _recording(calls):
-    # _eliminate, recording each call's pivot count, input and result
-    eliminate = diagnostics._eliminate
-
-    def record(A, pivots):
-        before = A.copy()
-        passed = eliminate(A, pivots)
-        calls.append((pivots, before, passed))
-        return passed
-
-    return record
-
-
 @pytest.mark.parametrize("m,d,s,s0", [(1, 5, 1, 2), (2, 4, 2, 2), (3, 3, 3, 1), (3, 4, 3, 2)])
 def test_prefix_schur_blocks_match_the_last_column_first_elimination(monkeypatch, m, d, s, s0):
     # one column set, every prefix taking both tests: the column-set stage's
@@ -463,18 +450,21 @@ def test_prefix_schur_blocks_match_the_last_column_first_elimination(monkeypatch
     grid = (m, d, s, s0)
     X = simulate.gen_design(20, m * d, "gaussian_iid", stream(38))
     XT = np.ascontiguousarray(X.T)
-    sets, row_sets = _tables(*grid)
+    row_sets = diagnostics._combinations(d, s0)
     r, P = row_sets.shape[0], (s - 1) * s0
     R, K = r ** (s - 1), P + d
-    calls = []
-    monkeypatch.setattr(diagnostics, "_eliminate", _recording(calls))
+    calls, eliminate = [], diagnostics._eliminate  # (pivots, input, result) per call
+    monkeypatch.setattr(diagnostics, "_eliminate", lambda A, pivots: calls.append(
+        (pivots, A.copy(), eliminate(A, pivots))) or calls[-1][2])
     u_s, l_s, c2 = 100.0, 0.5, _largest_norm(XT)
     _every_prefix(XT, grid, u_s, l_s, c2)
     (first, _, ok), (second, blocks, passed) = calls[:2]
     assert (first, second, blocks.shape) == (d, P, (P, P, 2 * R))
     monkeypatch.undo()
     # the K rows of each prefix: the last column's d, then the prefix's own
-    prefixes = diagnostics._support_rows(np.arange(s - 1)[None], row_sets, d, np.arange(R))
+    prefixes = [[d * a + i for a, subset in enumerate(subsets) for i in subset]
+                for subsets in product(row_sets.tolist(), repeat=s - 1)]
+    prefixes = np.array(prefixes, dtype=np.intp).reshape(R, P)
     rows = np.hstack([np.broadcast_to(d * (s - 1) + np.arange(d), (R, d)), prefixes])
     gram = XT @ XT.T
     margin = diagnostics._margin(K, X.shape[0], c2, u_s)
