@@ -71,12 +71,41 @@ def test_sparse_eigen_constants_rejects_a_design_that_is_not_2d(X):
 
 def test_dsrip_guards():
     X = np.zeros((10, 12))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^X must be a 2-d n x p array with p=10, got shape"):
         diagnostics.dsrip(X, 5, 2, 1, 1)  # m*d mismatch
-    with pytest.raises(ValueError):
+    count = diagnostics._support_count(20, 20, 10, 10)
+    with pytest.raises(ValueError, match=rf"^instance too large for exhaustive enumeration: "
+                                         rf"{count} supports$"):
         diagnostics.dsrip(np.zeros((10, 400)), 20, 20, 10, 10)  # too many supports
-    with pytest.raises(ValueError):
+    # just over the guard: C(21, 3) C(6, 2)^3 = 4 488 750 supports
+    with pytest.raises(ValueError, match=r"^instance too large for exhaustive enumeration: "
+                                         r"4488750 supports$"):
+        diagnostics.dsrip(np.zeros((10, 126)), 21, 6, 3, 2)
+    with pytest.raises(ValueError, match=r"^trials must be a positive integer for method "
+                                         r"'monte_carlo', got None$"):
         diagnostics.dsrip(np.zeros((10, 4)), 2, 2, 1, 1, method="monte_carlo")
+
+
+def test_exhaustive_dsrip_past_the_old_guard_matches_chunked_eigvalsh():
+    # (10,8,2,3) has 141 120 supports, above the guard of 10^5 that
+    # exhaustive dsrip used to have
+    m, d, s, s0 = 10, 8, 2, 3
+    X = simulate.gen_design(100, m * d, "gaussian_iid", stream(42))
+    idx = diagnostics._support_indices(m, d, s, s0)
+    assert idx.shape[0] == 141120
+    gram = X.T @ X
+    tops, bottoms = [], []
+    for start in range(0, idx.shape[0], 20000):
+        rows = idx[start:start + 20000]
+        eigs = np.linalg.eigvalsh(gram[rows[:, :, None], rows[:, None, :]])
+        tops.append(eigs[:, -1])
+        bottoms.append(eigs[:, 0])
+    top, bottom = np.concatenate(tops), np.concatenate(bottoms)
+    u_s, l_s = float(top.max()), max(float(bottom.min()), 0.0)
+    rep = diagnostics.dsrip(X, m, d, s, s0)
+    assert rep == diagnostics.DsripReport(
+        u_s=u_s, l_s=l_s, delta_s=min(max(1.0 - l_s / u_s, 0.0), 1.0), method="exhaustive",
+        degenerate_supports=int(np.count_nonzero(top < 1e-12)))
 
 
 def _noise_stat_enumerated(X, xi, m, d, s, s0):
@@ -631,11 +660,13 @@ def test_most_supports_skip_eigendecomposition(monkeypatch):
 
 def test_most_supports_never_reach_the_inertia_tests(monkeypatch):
     # on the design of test_most_supports_skip_eigendecomposition, the table
-    # intervals and the shared-prefix LDL^T tests, run once, leave at most
-    # 2% of the 47 040 supports to the per-chunk tests
+    # intervals and the shared-prefix LDL^T tests, run once, settle all but
+    # at most 2% of the 47 040 supports; an enumeration never runs the
+    # per-support tests of _settled, and the supports left take eigvalsh
     X = simulate.gen_design(100, 48, "gaussian_iid", stream(27))
     settled, prefix_settled = diagnostics._settled, diagnostics._prefix_settled
-    tested, prefix_calls = [], []
+    eigvalsh = np.linalg.eigvalsh
+    tested, prefix_calls, decomposed = [], [], []
     monkeypatch.setattr(
         diagnostics, "_settled",
         lambda XT, supports, *args: tested.append(len(supports)) or settled(XT, supports, *args),
@@ -644,10 +675,37 @@ def test_most_supports_never_reach_the_inertia_tests(monkeypatch):
         diagnostics, "_prefix_settled",
         lambda *args: prefix_calls.append(args[1:4]) or prefix_settled(*args),
     )
+    monkeypatch.setattr(
+        np.linalg, "eigvalsh", lambda a: decomposed.append(len(a)) or eigvalsh(a)
+    )
     diagnostics.dsrip(X, 6, 8, 2, 3)
     assert [(sets.shape, row_sets.shape, d) for sets, row_sets, d in prefix_calls] == [
         ((15, 2), (56, 3), 8)]
-    assert 0 < sum(tested) <= 47040 // 50
+    assert tested == []
+    assert 0 < sum(decomposed) <= 47040 // 50
+
+
+@pytest.mark.parametrize("chunk_bytes", [None, 5000])
+def test_monte_carlo_tests_every_chunk_after_the_first(monkeypatch, chunk_bytes):
+    # the first chunk seeds u_s and l_s by eigvalsh alone; every later chunk,
+    # the ragged last one too, goes whole to the per-support tests of _settled
+    if chunk_bytes is not None:
+        monkeypatch.setattr(diagnostics, "_CHUNK_BYTES", chunk_bytes)
+    X = simulate.gen_design(100, 48, "gaussian_iid", stream(27))
+    settled, eigvalsh = diagnostics._settled, np.linalg.eigvalsh
+    tested, decomposed = [], []
+    monkeypatch.setattr(
+        diagnostics, "_settled",
+        lambda XT, supports, *args: tested.append(len(supports)) or settled(XT, supports, *args),
+    )
+    monkeypatch.setattr(
+        np.linalg, "eigvalsh", lambda a: decomposed.append(len(a)) or eigvalsh(a)
+    )
+    trials = 1500
+    diagnostics.dsrip(X, 6, 8, 2, 3, method="monte_carlo", trials=trials, seed=3)
+    chunk = decomposed[0]
+    assert len(tested) >= 2
+    assert tested == [min(chunk, trials - start) for start in range(chunk, trials, chunk)]
 
 
 @pytest.mark.parametrize("n,k", [(1, 1), (4, 2), (6, 3), (7, 7), (9, 1), (9, 4), (250, 2)])

@@ -132,30 +132,41 @@ def worker():
     json.dump(digests, sys.stdout)
 
 
-def run_side(root: Path) -> dict:
+def run_side(root: Path, script=__file__) -> dict:
+    """The JSON that ``script --worker`` prints, run in a subprocess with
+    ``PYTHONPATH=ROOT/src`` and BLAS on 1 thread."""
     env = {**os.environ, "PYTHONPATH": str(root / "src"), **dict.fromkeys(THREAD_VARS, "1")}
-    proc = subprocess.run([sys.executable, str(Path(__file__).resolve()), "--worker"],
+    proc = subprocess.run([sys.executable, str(Path(script).resolve()), "--worker"],
                           env=env, cwd=root,
                           stdout=subprocess.PIPE, text=True, check=True)
     return json.loads(proc.stdout)
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+def parse_sides(argv, description):
+    """(worker, roots): whether ``--worker`` was given, and otherwise the
+    two SIDE=ROOT arguments as a dict from side to resolved root."""
+    parser = argparse.ArgumentParser(description=description)
     parser.add_argument("sides", nargs="*", metavar="SIDE=ROOT")
     parser.add_argument("--worker", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
+    roots = {}
     if args.worker:
-        worker()
-        return 0
+        return True, roots
     if len(args.sides) != 2:
         parser.error("expected two SIDE=ROOT arguments")
-    roots = {}
     for item in args.sides:
         side, sep, root = item.partition("=")
         if not sep or not side or side in roots:
             parser.error(f"expected distinct SIDE=ROOT, got {item!r}")
         roots[side] = Path(root).resolve()
+    return False, roots
+
+
+def main(argv=None) -> int:
+    is_worker, roots = parse_sides(argv, __doc__.splitlines()[0])
+    if is_worker:
+        worker()
+        return 0
     (a, first), (b, second) = ((side, run_side(root)) for side, root in roots.items())
     differ = [name for name in {**first, **second} if first.get(name) != second.get(name)]
     for name in differ:
