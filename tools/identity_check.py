@@ -149,11 +149,11 @@ def parse_sides(argv, description):
     parser.add_argument("sides", nargs="*", metavar="SIDE=ROOT")
     parser.add_argument("--worker", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
-    roots = {}
     if args.worker:
-        return True, roots
+        return True, {}
     if len(args.sides) != 2:
         parser.error("expected two SIDE=ROOT arguments")
+    roots = {}
     for item in args.sides:
         side, sep, root = item.partition("=")
         if not sep or not side or side in roots:
