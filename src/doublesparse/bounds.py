@@ -15,7 +15,7 @@ import math
 import operator
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from itertools import combinations, product
+from itertools import combinations
 
 import numpy as np
 
@@ -38,7 +38,6 @@ __all__ = [
 ]
 
 _ENUMERATION_GUARD = 10**6
-_TABLE_BLOCK = 1 << 20  # entries per block of a code-distance table
 
 
 @dataclass(frozen=True)
@@ -174,7 +173,9 @@ def gv_qary_code(
     of its Hamming ball, and the next kept word is the next free one. Cost:
     q^length bytes of flags, one pass over the q^length x length symbol
     table to find the ball's shifts, and O(M V length) arithmetic in M
-    vectorized steps.
+    vectorized steps. At min_dist = 1 every word is kept, and the code is
+    the q^length x length table of all words in scan order, built from
+    ``np.indices`` without the scan.
     """
     q = alphabet_size
     if q < 2:
@@ -185,7 +186,7 @@ def gv_qary_code(
         raise ValueError(f"search space too large: {q}^{length} words")
 
     if min_dist == 1:
-        return np.array(list(product(range(q), repeat=length)), dtype=int)
+        return np.indices((q,) * length, dtype=int).reshape(length, q**length).T
 
     # the ball of radius min_dist - 1 as symbol shifts (mod q) of fewer than
     # min_dist positions, split so that no temporary exceeds 2^20 entries
@@ -282,50 +283,100 @@ def pairwise_hamming(a: GroupedMatrix, b: GroupedMatrix) -> int:
     return int(np.count_nonzero(a.values != b.values))
 
 
-def _min_distance_exact(gamma_supports, codes, db, s0):
-    """Exact minimum pairwise Hamming distance of the assembled packing,
-    computed blockwise: within a column pattern via the code-distance table,
-    across patterns via the per-column contribution plus the joint minimum
-    over shared column positions.
+def _closest_pair(xs, ys, db, delta, best):
+    """The least sum_t db[x_t, y_t] over pairs of a row x of ``xs`` and a row
+    y of ``ys``, or ``best`` if no pair comes below it. ``ys=None`` pairs the
+    rows of ``xs`` with each other; otherwise both sides are first reduced
+    to their distinct rows.
 
-    Cost: each n_codes x n_codes integer table, within-pattern or joint, is
-    built from gathers of ``db`` in blocks of rows of about 2^20 entries, never
-    whole. Pattern pairs are visited by increasing per-column contribution
-    ``base``; only pairs with ``base`` below the running minimum and shared
-    columns build a joint n_codes x n_codes table.
+    Pairs are visited by symbol distance k = 0, 1, ... (from 1 when
+    ``ys=None``): for each choice of k free positions, the rows are sorted by
+    their symbols on the other positions, then on the free ones, and the
+    pairs j places apart within a run of equal agreed symbols, j = 1, 2, ...,
+    are scored on their free positions (``db`` is symmetric with a zero
+    diagonal). A pair that differs in k symbols scores at least k * delta,
+    so the search stops once k * delta reaches the running minimum.
+
+    Cost: one sort of the rows per choice of free positions, and one pass
+    over them per offset j up to the longest run. Memory: a few arrays of
+    one entry per row.
     """
-    n_codes = codes.shape[0]
+    q, width = len(db), xs.shape[1]
+    place = q ** np.arange(width)  # row numbers stay below q^s, which gv_qary_code bounds
+    if ys is None:
+        rows, side = xs, None
+    else:
+        xs, ys = (np.unique(r @ place) for r in (xs, ys))
+        rows = np.concatenate([xs, ys])[:, None] // place % q
+        side = np.arange(len(rows)) >= len(xs)
+    symbols = rows.T.copy()
+    for k in range(side is None, width + 1):
+        # the last k positions first: rows in lexicographic order, as codes
+        # come, are then already sorted
+        for free in combinations(range(width - 1, -1, -1), k):
+            if k * delta >= best:
+                return best
+            agree = [t for t in range(width) if t not in free]
+            number = rows[:, agree + sorted(free)] @ place[::-1]
+            order = np.argsort(number)
+            run = number[order] // q**k  # the agreed symbols, in sorted order
+            sides = None if side is None else side[order]
+            for j in range(1, len(order)):
+                pair = run[j:] == run[:-j]
+                if not pair.any():
+                    break  # no run is longer than j
+                if sides is not None:
+                    pair &= sides[j:] != sides[:-j]
+                a, b = order[:-j][pair], order[j:][pair]
+                if not a.size:
+                    continue
+                score = 0
+                for t in free:
+                    score = score + db[symbols[t][a], symbols[t][b]]
+                best = min(best, int(np.min(score)))
+                if k * delta >= best:
+                    return best
+    return best
+
+
+def _min_distance_exact(gamma_supports, codes, db, s0):
+    """Exact minimum pairwise Hamming distance of the assembled packing:
+    within a column pattern, the least code distance sum_t db[x_t, y_t];
+    across two patterns, their per-column contribution ``base`` plus the
+    least joint distance over their shared column positions.
+
+    ``db`` is the q x q distance table of the within-column words (symmetric,
+    zero diagonal) and delta its least off-diagonal entry. Two codes that
+    differ in k symbols are at least k * delta apart, so ``_closest_pair``
+    looks only at codes that agree on all but k positions, k = 1, 2, ...,
+    and stops once k * delta reaches the running minimum. Pattern pairs are
+    visited by increasing ``base``; only pairs with ``base`` below the
+    running minimum and shared columns search their joint term, over the
+    distinct codes of each pattern on those columns.
+
+    Cost: no n_codes x n_codes table. The construction's codes, at symbol
+    distance r = ceil(s/2), have closest pairs r * delta apart at every size
+    the tests build, so the within-pattern search ends at level r after at
+    most sum_{k<=r} C(s, k) sorts of the n_codes codes. Memory: a few arrays
+    of n_codes entries, and the n_gamma x n_gamma pattern overlaps.
+    """
     best = math.inf
-    db = np.asarray(db, dtype=np.int32)  # distances are at most 2 s s0
+    db = np.asarray(db, dtype=np.int64)
+    off_diagonal = db[~np.eye(len(db), dtype=bool)]
+    delta = int(off_diagonal.min()) if off_diagonal.size else 0
 
-    def table_min(pos_g, pos_h, skip_diagonal=False):
-        # min over code pairs (x, y) of sum_t db[x[pos_g[t]], y[pos_h[t]]];
-        # the within-pattern term is the joint term of a pattern with itself
-        low = math.inf
-        rows = max(1, _TABLE_BLOCK // n_codes)
-        for start in range(0, n_codes, rows):
-            block = codes[start:start + rows]
-            dq = db[block[:, pos_g[0]]][:, codes[:, pos_h[0]]]
-            for a, b in zip(pos_g[1:], pos_h[1:]):
-                dq += db[block[:, a]][:, codes[:, b]]
-            if skip_diagonal:
-                own = np.arange(len(block))  # each code against itself
-                dq[own, start + own] = np.iinfo(dq.dtype).max
-            low = min(low, int(dq.min()))
-        return low
-
-    if n_codes >= 2 and len(gamma_supports):
-        every = range(codes.shape[1])
-        best = table_min(every, every, skip_diagonal=True)
+    if codes.shape[0] >= 2 and len(gamma_supports):
+        best = _closest_pair(codes, None, db, delta, best)
 
     if len(gamma_supports) >= 2:
         gamma = np.asarray(gamma_supports, dtype=np.int64)
         # position of each column within its pattern's sorted support
         position = np.cumsum(gamma, axis=1) - 1
         weight = gamma.sum(axis=1)
-        g, h = np.triu_indices(len(gamma), 1)
-        shared = (gamma @ gamma.T)[g, h]
-        base = s0 * (weight[g] + weight[h] - 2 * shared)
+        shared = gamma @ gamma.T
+        base = s0 * (weight[:, None] + weight - 2 * shared)
+        g, h = np.nonzero(np.triu(base < best, 1))  # only these can lower it
+        shared, base = shared[g, h], base[g, h]
         for pair in np.argsort(base, kind="stable"):
             if base[pair] >= best:
                 break
@@ -334,7 +385,9 @@ def _min_distance_exact(gamma_supports, codes, db, s0):
                 continue
             cols = np.flatnonzero(gamma[g[pair]] & gamma[h[pair]])
             in_g, in_h = position[g[pair], cols], position[h[pair], cols]
-            best = min(best, int(base[pair]) + table_min(in_g, in_h))
+            cap = best - int(base[pair])
+            joint = _closest_pair(codes[:, in_g], codes[:, in_h], db, delta, cap)
+            best = min(best, int(base[pair]) + joint)
     return best
 
 
@@ -352,8 +405,10 @@ def build_khatri_rao_packing(
 
     Cost: the packing keeps only its factors, O(n_gamma s + n_codes d s)
     memory for N = n_gamma * n_codes elements, which are built on access.
-    Verification holds blocks of about 2^20 integer code distances, the
-    n_gamma x n_gamma shared-column counts and the q x q word distances.
+    Verification sorts the codes a few times and holds a few arrays of
+    n_codes entries, the n_gamma x n_gamma shared-column counts and the q x q
+    word distances, never a table over pairs of codes (see
+    ``_min_distance_exact``).
     """
     _check_budget(m, d, s, s0)
     if magnitude <= 0:
@@ -388,7 +443,7 @@ def build_khatri_rao_packing(
     db = b_words.astype(np.int32) @ b_words.T.astype(np.int32)
     db -= s0
     db *= -2
-    min_dist = _min_distance_exact(list(gamma), codes, db, s0)
+    min_dist = _min_distance_exact(gamma, codes, db, s0)
     if len(elements) >= 2 and min_dist < target:
         raise RuntimeError(
             f"packing verification failed: min distance {min_dist} < target {target}"

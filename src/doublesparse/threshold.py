@@ -68,12 +68,16 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _check_lam(lam: float) -> None:
+    if not lam > 0:  # a NaN lam fails this too
+        raise ValueError("lam must be positive")
+
+
 def _checked_values(U: GroupedMatrix, lam: float) -> np.ndarray:
     """The values of ``U``, after checking that ``lam`` is positive and that
     every entry of ``U`` is finite: a NaN entry would otherwise fail every
     comparison and drop out, and an infinite one would pass through."""
-    if not lam > 0:  # a NaN lam fails this too
-        raise ValueError("lam must be positive")
+    _check_lam(lam)
     V = U.values
     if not np.isfinite(V).all():
         raise ValueError("U must be finite")
@@ -95,14 +99,19 @@ def step1_entrywise(U: GroupedMatrix, lam: float) -> GroupedMatrix:
 def _matrix_stage(
     V: np.ndarray, lam: float, s: int, s0: int, row_condition: bool
 ) -> ThresholdOutcome:
-    """Column condition on the checked values ``V`` of U, then the row
-    condition unless ``row_condition`` is false, in which case i_max = d and
-    every nonzero entry of a selected column stays active."""
+    """Column condition on the values ``V`` of U, then the row condition
+    unless ``row_condition`` is false, in which case i_max = d and every
+    nonzero entry of a selected column stays active.
+
+    ``V`` must be finite. The column sums check that: a non-finite entry
+    makes its column's sum non-finite, and only then, as squares that
+    overflow do the same, does a full pass over ``V`` decide."""
     d, m = V.shape
+    col_scores = (V * V).sum(axis=0)
+    if not np.isfinite(col_scores).all() and not np.isfinite(V).all():
+        raise ValueError("U must be finite")
     _check_budget(m, d, s, s0)
     A = np.abs(V)
-
-    col_scores = (V * V).sum(axis=0)
     selected = col_scores >= s0 * lam * lam
 
     if row_condition:
@@ -135,7 +144,8 @@ def step2_matrix(U: GroupedMatrix, lam: float, s: int, s0: int) -> ThresholdOutc
     non-increasing order, the rank condition holds exactly when
     |U_ij| > desc_j[i_max] (0-based), and for every entry when i_max = d.
     """
-    return _matrix_stage(_checked_values(U, lam), lam, s, s0, row_condition=True)
+    _check_lam(lam)
+    return _matrix_stage(U.values, lam, s, s0, row_condition=True)
 
 
 def apply(U: GroupedMatrix, lam: float, budget: SparsityBudget) -> ThresholdOutcome:

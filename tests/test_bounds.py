@@ -289,11 +289,9 @@ def test_packing_min_distance_matches_brute_force(size, within, true_min):
 
 
 @pytest.mark.parametrize("order", [[0, 1, 2, 3], [2, 0, 1, 3], [2, 3, 0, 1]])
-def test_min_distance_over_row_blocks(monkeypatch, order):
-    # one code-distance table row per block: each block masks its own
-    # diagonal entry mid-table, and the closest pair (codes 0 and 1) sits in
-    # the first, middle or last blocks
-    monkeypatch.setattr(bounds, "_TABLE_BLOCK", 1)
+def test_min_distance_over_row_blocks(order):
+    # the closest pair (codes 0 and 1) sits first, in the middle or last in
+    # code order, and the search must find it wherever it sits
     gamma = np.array([[1, 1, 0]])
     codes = np.array([[0, 0], [0, 1], [2, 3], [3, 2]])[order]
     b_words = gv_sphere_packing(4, 1, 0)
@@ -311,6 +309,15 @@ def test_min_distance_over_row_blocks(monkeypatch, order):
     assert bounds._min_distance_exact(list(shifted[:1]), codes, db, 1) == 4
     assert bounds._min_distance_exact(list(shifted), codes, db, 1) == 2
     assert _assembled_min_distance(shifted, codes, b_words) == 2
+    # one-symbol codes, all in one bucket: only words 0 and 3 share a row,
+    # so the closest pair sits at the two ends of the sorted bucket
+    single = np.array([[1, 0, 0]])
+    codes = np.arange(4)[order][:, None]
+    b_words = np.zeros((4, 8), dtype=int)
+    b_words[[0, 0, 1, 1, 2, 2, 3, 3], [0, 1, 2, 3, 4, 5, 0, 6]] = 1
+    db = 2 * (2 - b_words @ b_words.T).astype(np.int64)
+    assert bounds._min_distance_exact(single, codes, db, 2) == 2
+    assert _assembled_min_distance(single, codes, b_words) == 2
 
 
 def _verification_peak(monkeypatch, size):
@@ -403,6 +410,84 @@ def test_min_distance_matches_brute_force_on_sparse_codes():
         )
 
 
+def _table_min_distance(gamma_supports, codes, db, s0):
+    # the minimum from whole n_codes x n_codes code-distance tables, within a
+    # column pattern and jointly over the shared columns of two patterns
+    def table_min(pos_g, pos_h, skip_diagonal=False):
+        dq = sum(db[codes[:, a]][:, codes[:, b]] for a, b in zip(pos_g, pos_h))
+        if skip_diagonal:
+            np.fill_diagonal(dq, np.iinfo(dq.dtype).max)
+        return int(dq.min())
+
+    best = math.inf
+    if codes.shape[0] >= 2 and len(gamma_supports):
+        every = range(codes.shape[1])
+        best = table_min(every, every, skip_diagonal=True)
+    if len(gamma_supports) >= 2:
+        gamma = np.asarray(gamma_supports, dtype=np.int64)
+        position = np.cumsum(gamma, axis=1) - 1
+        weight = gamma.sum(axis=1)
+        g, h = np.triu_indices(len(gamma), 1)
+        shared = (gamma @ gamma.T)[g, h]
+        base = s0 * (weight[g] + weight[h] - 2 * shared)
+        for pair in np.argsort(base, kind="stable"):
+            if base[pair] >= best:
+                break
+            if not shared[pair]:
+                best = min(best, int(base[pair]))
+                continue
+            cols = np.flatnonzero(gamma[g[pair]] & gamma[h[pair]])
+            in_g, in_h = position[g[pair], cols], position[h[pair], cols]
+            best = min(best, int(base[pair]) + table_min(in_g, in_h))
+    return best
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_min_distance_matches_the_distance_tables(r):
+    # q-ary codes at symbol distance r, thinned at random (to a few words,
+    # or one, half the time) and shuffled; column patterns that share no
+    # column, or share columns at shifted positions; as words, a packing at
+    # distance > rho or a few words drawn at random, in random order, so
+    # that word distances 2, 4 and 6 mix and the closest words need not
+    # have neighbouring symbols
+    rng = stream(4100 + r)
+    kinds = {"disjoint": 0, "shifted": 0, "one word": 0}
+    for _ in range(200):
+        s = int(rng.integers(max(r, 1), 5))
+        m = int(rng.integers(s + 1, 2 * s + 3))
+        d = int(rng.integers(2, 9))
+        s0 = int(rng.integers(1, d))
+        rho = int(rng.integers(0, 2 * min(s0, d - s0) - 1)) if min(s0, d - s0) > 1 else 0
+        b_words = gv_sphere_packing(d, s0, 0 if rng.random() < 0.5 else rho)
+        b_words = b_words[rng.permutation(len(b_words))]
+        if rng.random() < 0.5:
+            b_words = b_words[:int(rng.integers(2, 7))]
+        if len(b_words) < 2 or len(b_words) ** s > 5000:
+            continue
+        code = gv_qary_code(len(b_words), s, r)
+        few = len(code) if rng.random() < 0.5 else min(len(code), 6)
+        codes = code[rng.permutation(len(code))[:int(rng.integers(1, few + 1))]]
+        if rng.random() < 0.5:
+            codes = codes[np.lexsort(codes.T[::-1])]  # code order
+        patterns = np.array([
+            np.isin(np.arange(m), cols).astype(int)
+            for cols in combinations(range(m), s)
+        ])
+        pick = rng.choice(len(patterns), size=min(len(patterns), int(rng.integers(1, 5))),
+                          replace=False)
+        gamma = patterns[np.sort(pick)]
+        overlap = gamma @ gamma.T
+        kinds["disjoint"] += bool(len(gamma) > 1 and (overlap[np.triu_indices(len(gamma), 1)] == 0).any())
+        kinds["shifted"] += bool(len(gamma) > 1 and (0 < overlap[np.triu_indices(len(gamma), 1)]).any())
+        kinds["one word"] += len(codes) == 1
+        db = 2 * (s0 - b_words @ b_words.T).astype(np.int64)
+        for some in (gamma[:1], gamma):  # the within-pattern term alone, then all
+            assert bounds._min_distance_exact(some, codes, db, s0) == (
+                _table_min_distance(some, codes, db, s0)
+            )
+    assert min(kinds.values()) > 0, kinds
+
+
 def _qary_code_scan(q, length, min_dist):
     # the greedy scan gv_qary_code used before the lexicode: each candidate,
     # in lexicographic order, against every kept word
@@ -417,11 +502,11 @@ def _qary_code_scan(q, length, min_dist):
 @pytest.mark.parametrize(
     "q,length,min_dist",
     [(2, 3, 2), (3, 4, 3), (5, 5, 2), (6, 5, 3), (8, 4, 2), (4, 6, 3),
-     (2, 12, 6), (3, 3, 5), (3, 0, 2)],
+     (2, 12, 6), (3, 3, 5), (3, 0, 2), (28, 2, 1), (5, 3, 1), (3, 0, 1)],
 )
 def test_gv_qary_code_matches_scan(q, length, min_dist):
-    # the last three: a ball of half the space, a radius beyond the length
-    # (one word), and the empty word
+    # then: a ball of half the space, a radius beyond the length (one word),
+    # the empty word, and at min_dist 1 every word, the empty word included
     code = gv_qary_code(q, length, min_dist)
     expected = _qary_code_scan(q, length, min_dist)
     assert code.dtype == expected.dtype and code.shape == expected.shape

@@ -264,3 +264,27 @@ def test_public_stages_reject_a_non_finite_U(name, case, at, value):
         PUBLIC_STAGES[name](GroupedMatrix(V))
     V[at] = 2.0
     PUBLIC_STAGES[name](GroupedMatrix(V))  # the same input, finite, passes
+
+
+def test_matrix_stage_accepts_finite_entries_whose_squares_overflow():
+    # the column sums of the first two columns overflow to inf, so finiteness
+    # falls to a scan of every entry, which passes; the row cut at rank 3
+    # then drops the 0.6 of the first column, and the last column, below
+    # lam after stage 1, is not selected
+    V = np.array([[1e200, 0.7, 0.1], [2.0, -1e200, 0.2], [1.0, 0.9, 0.3], [0.6, 0.0, 0.4]])
+    kept = np.array([[1e200, 0.7, 0.0], [2.0, -1e200, 0.0], [1.0, 0.9, 0.0], [0.0, 0.0, 0.0]])
+    budget = hard(3, 4, 2, 1)
+    with np.errstate(over="ignore"):
+        outcomes = [
+            threshold.apply(GroupedMatrix(V), 0.5, budget),
+            threshold.step2_matrix(threshold.step1_entrywise(GroupedMatrix(V), 0.5), 0.5, 2, 1),
+        ]
+        loose = threshold.apply_heterogeneous(
+            GroupedMatrix(V), 0.5, SparsityBudget.heterogeneous(3, 4, 2, 1))
+    for out in outcomes:
+        assert out.result.values.tobytes() == kept.tobytes()
+        assert out.row_cut == 3
+        assert out.selected_mask.tolist() == [True, True, False]
+    kept[3, 0] = 0.6  # no row condition
+    assert loose.result.values.tobytes() == kept.tobytes()
+    assert loose.row_cut == 4

@@ -19,7 +19,13 @@ The corpus:
 - ``bruteforce/...``: ``constrained_ls_bruteforce`` on tie-heavy inputs
   with fixed seeds, every entry's bytes;
 - ``cli/...``: the stdout of ``doublesparse dsrip`` at 3 grids, both
-  methods.
+  methods;
+- ``packing/...``: ``build_khatri_rao_packing`` at the 15 sizes in
+  ``PACKINGS`` (every size the tests build, then three larger ones) and at
+  a second magnitude: every ``PackingSet`` field, floats as ``float.hex``
+  and ``elements`` as the bytes of its ``columns`` and ``contents``, and the
+  bytes ``export_codebook`` writes;
+- ``cli/packing/...``: the stdout of ``doublesparse packing`` at 2 sizes.
 
 Later cases go at the end of ``corpus``; a case's name fixes its inputs.
 """
@@ -53,6 +59,14 @@ MC_TRIALS = 300
 BRUTEFORCE = [(4, 4, 2, 2, 0), (6, 3, 2, 2, 1), (5, 4, 3, 1, 2), (3, 6, 1, 3, 3),
               (5, 5, 2, 3, 4)]
 CLI_GRIDS = [(6, 8, 2, 3, 100), (4, 4, 2, 2, 20), (8, 6, 2, 2, 5)]
+# (m, d, s, s0): every packing the tests build, then larger ones whose
+# verification once took seconds
+PACKINGS = [
+    (5, 4, 2, 2), (5, 4, 1, 2), (6, 6, 2, 2), (8, 8, 2, 2), (16, 8, 2, 2),
+    (10, 6, 3, 2), (5, 4, 3, 1), (6, 4, 4, 1), (7, 5, 3, 1), (5, 5, 3, 2),
+    (8, 6, 4, 2), (6, 16, 4, 1), (12, 6, 4, 2), (8, 8, 4, 2), (6, 31, 4, 1),
+]
+CLI_PACKINGS = [(8, 8, 2, 2), (6, 16, 4, 1)]
 THREAD_VARS = ["OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"]
 
 
@@ -85,10 +99,55 @@ def report_bytes(report) -> bytes:
     return json.dumps(fields, sort_keys=True).encode()
 
 
+def hexed(value):
+    """``value`` with every float, also inside dicts, as ``float.hex``."""
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, dict):
+        return {key: hexed(item) for key, item in value.items()}
+    return value
+
+
+def packing_bytes(size, magnitude=1.0) -> bytes:
+    """The digest of every field of the packing at ``size``, its elements
+    by their factors, and of the codebook file it exports."""
+    import tempfile
+    from dataclasses import fields
+    from doublesparse import bounds
+
+    packing = bounds.build_khatri_rao_packing(*size, magnitude=magnitude)
+    digest = hashlib.sha256()
+    for f in fields(packing):
+        value = getattr(packing, f.name)
+        if f.name == "elements":
+            for factor in (value.columns, value.contents):
+                digest.update(f"{factor.dtype} {factor.shape}".encode())
+                digest.update(factor.tobytes())
+            value = list(value.shape)
+        digest.update(json.dumps([f.name, hexed(value)], sort_keys=True).encode())
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "codebook.txt"
+        bounds.export_codebook(packing, path)
+        with open(path, "rb") as fh:
+            for block in iter(lambda: fh.read(1 << 20), b""):
+                digest.update(block)
+    return digest.digest()
+
+
+def cli_bytes(argv) -> bytes:
+    """The exit code and stdout of ``doublesparse ARGV``."""
+    from doublesparse import harness
+
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = harness.main(argv)
+    return f"{code}\n{out.getvalue()}".encode()
+
+
 def corpus():
     """(name, thunk returning bytes) for every case, in a fixed order."""
     import numpy as np
-    from doublesparse import diagnostics, estimators, harness
+    from doublesparse import diagnostics, estimators
     from doublesparse.core import GroupedMatrix, SparsityBudget, stream
 
     for m, d, s, s0 in DSRIP_GRIDS:
@@ -111,14 +170,13 @@ def corpus():
         for method in ("exhaustive", "monte_carlo"):
             argv = ["dsrip", "--m", str(m), "--d", str(d), "--s", str(s), "--s0", str(s0),
                     "--n", str(n), "--method", method, "--trials", "200", "--seed", "7"]
-
-            def cli(argv=argv):
-                out = io.StringIO()
-                with contextlib.redirect_stdout(out):
-                    code = harness.main(argv)
-                return f"{code}\n{out.getvalue()}".encode()
-
-            yield f"cli/dsrip/{method}/{m},{d},{s},{s0},n={n}", cli
+            yield f"cli/dsrip/{method}/{m},{d},{s},{s0},n={n}", lambda argv=argv: cli_bytes(argv)
+    for size in PACKINGS:
+        yield f"packing/{','.join(map(str, size))}", lambda size=size: packing_bytes(size)
+    yield "packing/8,8,2,2/magnitude=0.7", lambda: packing_bytes((8, 8, 2, 2), 0.7)
+    for m, d, s, s0 in CLI_PACKINGS:
+        argv = ["packing", "--m", str(m), "--d", str(d), "--s", str(s), "--s0", str(s0)]
+        yield f"cli/packing/{m},{d},{s},{s0}", lambda argv=argv: cli_bytes(argv)
 
 
 def worker():
