@@ -309,7 +309,6 @@ def _closest_pair(xs, ys, db, delta, best):
         xs, ys = (np.unique(r @ place) for r in (xs, ys))
         rows = np.concatenate([xs, ys])[:, None] // place % q
         side = np.arange(len(rows)) >= len(xs)
-    symbols = rows.T.copy()
     for k in range(side is None, width + 1):
         # the last k positions first: rows in lexicographic order, as codes
         # come, are then already sorted
@@ -332,7 +331,7 @@ def _closest_pair(xs, ys, db, delta, best):
                     continue
                 score = 0
                 for t in free:
-                    score = score + db[symbols[t][a], symbols[t][b]]
+                    score = score + db[rows[a, t], rows[b, t]]
                 best = min(best, int(np.min(score)))
                 if k * delta >= best:
                     return best
@@ -343,7 +342,9 @@ def _min_distance_exact(gamma_supports, codes, db, s0):
     """Exact minimum pairwise Hamming distance of the assembled packing:
     within a column pattern, the least code distance sum_t db[x_t, y_t];
     across two patterns, their per-column contribution ``base`` plus the
-    least joint distance over their shared column positions.
+    least joint distance over their shared column positions. The column
+    patterns ``gamma_supports`` are distinct 0/1 rows of weight s, the
+    length of the ``codes``.
 
     ``db`` is the q x q distance table of the within-column words (symmetric,
     zero diagonal) and delta its least off-diagonal entry. Two codes that
@@ -368,15 +369,16 @@ def _min_distance_exact(gamma_supports, codes, db, s0):
     if codes.shape[0] >= 2 and len(gamma_supports):
         best = _closest_pair(codes, None, db, delta, best)
 
-    if len(gamma_supports) >= 2:
+    # two distinct patterns of weight s differ in two columns or more, so
+    # their base is at least 2 s0
+    if len(gamma_supports) >= 2 and 2 * s0 < best:
         gamma = np.asarray(gamma_supports, dtype=np.int64)
         # position of each column within its pattern's sorted support
         position = np.cumsum(gamma, axis=1) - 1
         weight = gamma.sum(axis=1)
-        shared = gamma @ gamma.T
-        base = s0 * (weight[:, None] + weight - 2 * shared)
-        g, h = np.nonzero(np.triu(base < best, 1))  # only these can lower it
-        shared, base = shared[g, h], base[g, h]
+        g, h = np.triu_indices(len(gamma), 1)
+        shared = (gamma @ gamma.T)[g, h]
+        base = s0 * (weight[g] + weight[h] - 2 * shared)
         for pair in np.argsort(base, kind="stable"):
             if base[pair] >= best:
                 break

@@ -447,18 +447,16 @@ def test_min_distance_matches_the_distance_tables(r):
     # q-ary codes at symbol distance r, thinned at random (to a few words,
     # or one, half the time) and shuffled; column patterns that share no
     # column, or share columns at shifted positions; as words, a packing at
-    # distance > rho or a few words drawn at random, in random order, so
-    # that word distances 2, 4 and 6 mix and the closest words need not
-    # have neighbouring symbols
+    # distance > rho, or a few of its words, in random order, so that word
+    # distances mix and the closest words need not have neighbouring symbols
     rng = stream(4100 + r)
     kinds = {"disjoint": 0, "shifted": 0, "one word": 0}
     for _ in range(200):
-        s = int(rng.integers(max(r, 1), 5))
+        s = int(rng.integers(r, 5))
         m = int(rng.integers(s + 1, 2 * s + 3))
         d = int(rng.integers(2, 9))
         s0 = int(rng.integers(1, d))
-        rho = int(rng.integers(0, 2 * min(s0, d - s0) - 1)) if min(s0, d - s0) > 1 else 0
-        b_words = gv_sphere_packing(d, s0, 0 if rng.random() < 0.5 else rho)
+        b_words = gv_sphere_packing(d, s0, int(rng.integers(0, 2 * min(s0, d - s0))))
         b_words = b_words[rng.permutation(len(b_words))]
         if rng.random() < 0.5:
             b_words = b_words[:int(rng.integers(2, 7))]
@@ -476,9 +474,11 @@ def test_min_distance_matches_the_distance_tables(r):
         pick = rng.choice(len(patterns), size=min(len(patterns), int(rng.integers(1, 5))),
                           replace=False)
         gamma = patterns[np.sort(pick)]
-        overlap = gamma @ gamma.T
-        kinds["disjoint"] += bool(len(gamma) > 1 and (overlap[np.triu_indices(len(gamma), 1)] == 0).any())
-        kinds["shifted"] += bool(len(gamma) > 1 and (0 < overlap[np.triu_indices(len(gamma), 1)]).any())
+        position = np.cumsum(gamma, axis=1) - 1
+        for g, h in combinations(range(len(gamma)), 2):
+            both = (gamma[g] & gamma[h]).astype(bool)
+            kinds["disjoint"] += not both.any()
+            kinds["shifted"] += bool((position[g, both] != position[h, both]).any())
         kinds["one word"] += len(codes) == 1
         db = 2 * (s0 - b_words @ b_words.T).astype(np.int64)
         for some in (gamma[:1], gamma):  # the within-pattern term alone, then all
