@@ -289,8 +289,9 @@ def _closest_pair(xs, ys, db, delta, best):
     rows of ``xs`` with each other; otherwise both sides are first reduced
     to their distinct rows.
 
-    Pairs are visited by symbol distance k = 0, 1, ... (from 1 when
-    ``ys=None``): for each choice of k free positions, the rows are sorted by
+    Rows that follow each other in ``xs``, or a row found on both sides,
+    give a first minimum. Pairs are then visited by symbol distance k = 1,
+    2, ...: for each choice of k free positions, the rows are sorted by
     their symbols on the other positions, then on the free ones, and the
     pairs j places apart within a run of equal agreed symbols, j = 1, 2, ...,
     are scored on their free positions (``db`` is symmetric with a zero
@@ -299,29 +300,38 @@ def _closest_pair(xs, ys, db, delta, best):
 
     Cost: one sort of the rows per choice of free positions, and one pass
     over them per offset j up to the longest run. Memory: a few arrays of
-    one entry per row.
+    one entry per row and choice of k positions.
     """
     q, width = len(db), xs.shape[1]
     place = q ** np.arange(width)  # row numbers stay below q^s, which gv_qary_code bounds
     if ys is None:
         rows, side = xs, None
+        if len(rows) >= 2:  # neighbouring rows give a first minimum to stop on
+            best = min(best, int(db[rows[:-1], rows[1:]].sum(axis=1).min()))
     else:
         xs, ys = (np.unique(r @ place) for r in (xs, ys))
+        if np.intersect1d(xs, ys, assume_unique=True).size:
+            return min(best, 0)  # a row on both sides
         rows = np.concatenate([xs, ys])[:, None] // place % q
         side = np.arange(len(rows)) >= len(xs)
-    for k in range(side is None, width + 1):
-        # the last k positions first: rows in lexicographic order, as codes
-        # come, are then already sorted
-        for free in combinations(range(width - 1, -1, -1), k):
-            if k * delta >= best:
-                return best
-            agree = [t for t in range(width) if t not in free]
-            number = rows[:, agree + sorted(free)] @ place[::-1]
-            order = np.argsort(number)
-            run = number[order] // q**k  # the agreed symbols, in sorted order
+    for k in range(1, width + 1):
+        if k * delta >= best:
+            return best
+        # for each choice of k free positions, the last k first (rows in
+        # lexicographic order, as codes come, are then already sorted), one
+        # number per row that orders the rows by their agreed symbols, then
+        # by their free ones
+        frees = list(combinations(range(width - 1, -1, -1), k))
+        weights = np.zeros((len(frees), width), dtype=np.int64)
+        for c, free in enumerate(frees):
+            weights[c, [t for t in range(width) if t not in free] + sorted(free)] = place[::-1]
+        numbers = weights @ rows.T
+        runs = np.sort(numbers, axis=1) // q**k  # the agreed symbols, in sorted order
+        for c in np.flatnonzero((runs[:, 1:] == runs[:, :-1]).any(axis=1)):
+            order = np.argsort(numbers[c])
             sides = None if side is None else side[order]
             for j in range(1, len(order)):
-                pair = run[j:] == run[:-j]
+                pair = runs[c, j:] == runs[c, :-j]
                 if not pair.any():
                     break  # no run is longer than j
                 if sides is not None:
@@ -330,7 +340,7 @@ def _closest_pair(xs, ys, db, delta, best):
                 if not a.size:
                     continue
                 score = 0
-                for t in free:
+                for t in frees[c]:
                     score = score + db[rows[a, t], rows[b, t]]
                 best = min(best, int(np.min(score)))
                 if k * delta >= best:
@@ -350,16 +360,20 @@ def _min_distance_exact(gamma_supports, codes, db, s0):
     zero diagonal) and delta its least off-diagonal entry. Two codes that
     differ in k symbols are at least k * delta apart, so ``_closest_pair``
     looks only at codes that agree on all but k positions, k = 1, 2, ...,
-    and stops once k * delta reaches the running minimum. Pattern pairs are
-    visited by increasing ``base``; only pairs with ``base`` below the
-    running minimum and shared columns search their joint term, over the
-    distinct codes of each pattern on those columns.
+    and stops once k * delta reaches the running minimum. Two distinct
+    patterns differ in two columns or more, so their ``base`` is at least
+    2 s0, and pattern pairs are searched only when the minimum is larger.
+    They are visited by increasing ``base``; only pairs with ``base`` below
+    the running minimum and shared columns search their joint term, over
+    the distinct codes of each pattern on those columns.
 
-    Cost: no n_codes x n_codes table. The construction's codes, at symbol
-    distance r = ceil(s/2), have closest pairs r * delta apart at every size
-    the tests build, so the within-pattern search ends at level r after at
-    most sum_{k<=r} C(s, k) sorts of the n_codes codes. Memory: a few arrays
-    of n_codes entries, and the n_gamma x n_gamma pattern overlaps.
+    Cost: no n_codes x n_codes table. The construction's codes come in
+    lexicographic order at symbol distance r = ceil(s/2), and at every size
+    the tests build, two neighbouring codes are r * delta apart. The
+    within-pattern search then only shows that no codes differ in fewer
+    than r symbols: one sort of the n_codes codes per choice of k < r free
+    positions. Memory: a few arrays of n_codes entries per such choice, and
+    the n_gamma x n_gamma pattern overlaps.
     """
     best = math.inf
     db = np.asarray(db, dtype=np.int64)
@@ -369,16 +383,16 @@ def _min_distance_exact(gamma_supports, codes, db, s0):
     if codes.shape[0] >= 2 and len(gamma_supports):
         best = _closest_pair(codes, None, db, delta, best)
 
-    # two distinct patterns of weight s differ in two columns or more, so
-    # their base is at least 2 s0
     if len(gamma_supports) >= 2 and 2 * s0 < best:
         gamma = np.asarray(gamma_supports, dtype=np.int64)
         # position of each column within its pattern's sorted support
         position = np.cumsum(gamma, axis=1) - 1
-        weight = gamma.sum(axis=1)
-        g, h = np.triu_indices(len(gamma), 1)
-        shared = (gamma @ gamma.T)[g, h]
-        base = s0 * (weight[g] + weight[h] - 2 * shared)
+        shared = gamma @ gamma.T
+        weight = np.diagonal(shared)
+        base = s0 * (weight[:, None] + weight - 2 * shared)
+        g, h = np.nonzero(base < best)  # the pattern pairs that can lower it
+        g, h = g[g < h], h[g < h]
+        shared, base = shared[g, h], base[g, h]
         for pair in np.argsort(base, kind="stable"):
             if base[pair] >= best:
                 break

@@ -92,13 +92,6 @@ def design(kind, m, d, s, s0, seed):
     return X
 
 
-def report_bytes(report) -> bytes:
-    from dataclasses import asdict
-
-    fields = {k: v.hex() if isinstance(v, float) else v for k, v in asdict(report).items()}
-    return json.dumps(fields, sort_keys=True).encode()
-
-
 def hexed(value):
     """``value`` with every float, also inside dicts, as ``float.hex``."""
     if isinstance(value, float):
@@ -106,6 +99,12 @@ def hexed(value):
     if isinstance(value, dict):
         return {key: hexed(item) for key, item in value.items()}
     return value
+
+
+def report_bytes(report) -> bytes:
+    from dataclasses import asdict
+
+    return json.dumps(hexed(asdict(report)), sort_keys=True).encode()
 
 
 def packing_bytes(size, magnitude=1.0) -> bytes:
