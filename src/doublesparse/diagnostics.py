@@ -15,13 +15,14 @@ that of an eigvalsh on every support, bit for bit. The certificates:
 - LDL^T inertia tests (:func:`_prefix_settled` in an enumeration,
   :func:`_settled` in Monte-Carlo): elimination without pivoting keeps
   every pivot of (u_s - M) I - G~ and of G~ - (l_s + M) I positive, G~
-  gathered from the Gram matrix of a column union. G~ may be a larger
+  gathered from the Gram matrix of a column union (in Monte-Carlo, of
+  every column the supports use, formed once per call). G~ may be a larger
   K x K matrix that holds the support's as a principal submatrix: by
   Cauchy's interlacing theorem (Horn & Johnson, Matrix Analysis, ch. 4)
   the support's eigenvalues lie between its extreme ones, so a test that
   passes on it passes for the support;
-- in Monte-Carlo, a squared column norm of the support, a diagonal entry
-  of G and so a lower bound on lambda_max;
+- in Monte-Carlo, a diagonal entry of G~, a squared column norm of the
+  support: the same entry of G is a lower bound on lambda_max;
 - in an enumeration, the interval of :func:`_support_intervals`, with G~
   the symmetric matrix of the Gram entries its tables are built from (each
   off-diagonal entry computed once). Wolkowicz & Styan (1980, "Bounds for
@@ -33,14 +34,16 @@ that of an eigvalsh on every support, bit for bit. The certificates:
 The margin M = 8 k (n + k^2) eps c^2 of :func:`_margin`, for supports of k
 columns of length n, covers the sum of three errors, each at most a few
 k (n + k^2) eps c^2. c^2 is the larger of the largest squared norm of a
-column in use, computed once per call, and u_s / k, so that u_s <= k c^2.
-A test on a K x K matrix takes the margin with K for k: each bound below
-grows with the size, so one rule holds, the margin of the largest matrix
-a test eliminates.
+column in use, computed once per call (in Monte-Carlo, the largest
+diagonal entry of the Gram matrix of the columns in use), and u_s / k, so
+that u_s <= k c^2. A test on a K x K matrix takes the margin with K for
+k: each bound below grows with the size, so one rule holds, the margin of
+the largest matrix a test eliminates.
 
-- G~ (or a column norm) and G are length-n dot products summed in two
-  orders, each entry within gamma_n |x_u| |x_v| <= gamma_n c^2 of the
-  exact one, so ||G~ - G||_2 <= 2 gamma_n k c^2, about 2 n k eps c^2;
+- G~ and G are length-n dot products summed in two orders, each entry
+  (a squared column norm on the diagonal) within gamma_n |x_u| |x_v| <=
+  gamma_n c^2 of the exact one, so ||G~ - G||_2 <= 2 gamma_n k c^2, about
+  2 n k eps c^2;
 - eigvalsh is backward stable: each computed eigenvalue of G is within
   p(k) eps ||G||_2 <= p(k) k eps c^2 of the true one, for a modestly
   growing p(k), taken here as at most k^2;
@@ -112,9 +115,10 @@ NOISE_EVENT_CONSTANT = 10.0
 
 _EXHAUSTIVE_GUARD = 4 * 10**6
 # working bytes per chunk of supports: gathered rows, Gram matrices and, in
-# Monte-Carlo, the inertia-test stack and the chunk's column union; also
-# per block of interval-table rows, per chunk of interval reads, and per
-# chunk of column sets and of prefixes in the prefix pass
+# Monte-Carlo, the inertia-test stack; also the most a Monte-Carlo call's
+# Gram matrix of its columns in use may take, and per block of
+# interval-table rows, per chunk of interval reads, and per chunk of column
+# sets and of prefixes in the prefix pass
 _CHUNK_BYTES = 1 << 22
 _DEGENERATE_TOL = 1e-12
 # an exhaustive enumeration seeds u_s and l_s with the exact eigenvalues of
@@ -184,10 +188,18 @@ def _support_indices(m, d, s, s0) -> np.ndarray:
     return _support_rows(_combinations(m, s), _combinations(d, s0), d, positions)
 
 
-def _sample_support(rng, m, d, s, s0) -> np.ndarray:
-    cols = np.sort(rng.choice(m, size=s, replace=False))
-    rows = [np.sort(rng.choice(d, size=s0, replace=False)) for _ in cols]
-    return (d * cols[:, None] + np.array(rows)).ravel()
+def _sample_supports(rng, trials, m, d, s, s0) -> np.ndarray:
+    """``trials`` supports drawn uniformly, one per row of a (trials,
+    s*s0) index array: per trial, one ``rng.choice`` of s columns, then
+    one of s0 rows for each of them in turn, each sorted."""
+    cols = np.empty((trials, s), dtype=np.intp)
+    rows = np.empty((trials, s, s0), dtype=np.intp)
+    for t in range(trials):
+        cols[t] = rng.choice(m, size=s, replace=False)
+        rows[t] = [rng.choice(d, size=s0, replace=False) for _ in range(s)]
+    rows.sort()
+    rows += d * np.sort(cols)[:, :, None]
+    return rows.reshape(trials, s * s0)
 
 
 def _union(supports, p):
@@ -234,22 +246,18 @@ def _eliminate(A, pivots) -> np.ndarray:
         return np.all(np.diagonal(A)[..., :pivots] > 0.0, axis=-1)
 
 
-def _settled(XT, supports, norms, u_s, l_s, margin) -> np.ndarray:
-    """Per row of ``supports``: whether the LDL^T inertia tests certify
-    lambda_max < u_s - margin and, while l_s > 0, lambda_min > l_s +
-    margin, on its Gram matrix gathered from that of the rows' column
-    union, and one of its squared column norms ``norms`` exceeds the
-    degeneracy tolerance plus margin. None is settled when the union's
-    Gram matrix costs more than the supports' own (u^2 > count k^2)."""
+def _settled(gram, supports, u_s, l_s, margin) -> np.ndarray:
+    """Per row of ``supports``, k positions among the columns whose Gram
+    matrix is ``gram``: whether the LDL^T inertia tests certify lambda_max
+    < u_s - margin and, while l_s > 0, lambda_min > l_s + margin, on its
+    Gram matrix gathered from ``gram``, and one of its diagonal entries, a
+    squared column norm, exceeds the degeneracy tolerance plus margin."""
     count, k = supports.shape
-    union, local = _union(supports, XT.shape[0])
-    if union.size ** 2 > supports.size * k:
-        return np.zeros(count, dtype=bool)
-    XU = XT[union]
-    bottom = local if l_s > 0.0 else local[:0]
-    passed = _eliminate(_shifted_stack(XU @ XU.T, local, bottom, u_s, l_s, margin), k)
+    bottom = supports if l_s > 0.0 else supports[:0]
+    passed = _eliminate(_shifted_stack(gram, supports, bottom, u_s, l_s, margin), k)
     above = passed[count:] if l_s > 0.0 else True
-    return passed[:count] & above & (norms[supports.T].max(axis=0) > _DEGENERATE_TOL + margin)
+    norms = np.diagonal(gram)[supports.T].max(axis=0)
+    return passed[:count] & above & (norms > _DEGENERATE_TOL + margin)
 
 
 def _prefix_settled(XT, sets, row_sets, d, u_s, l_s, c2, open_top, open_bottom):
@@ -507,30 +515,26 @@ def _extreme_eigs(X, grid):
 def _sampled_eigs(X, idx):
     """(u_s, l_s, degenerate) over the supports in the rows of ``idx``, in
     chunks. The first chunk takes the exact path, which seeds u_s and l_s.
-    In each chunk after it, the supports that :func:`_settled` certifies
-    against the running values are skipped, and the rest take the exact
-    path."""
-    rows = slice(None)
-    if idx.size < X.size:  # finding the union is cheaper than copying X
-        union, local = _union(idx, X.shape[1])
-        if union.size < X.shape[1]:  # copy only the rows of X^T in use
-            rows, idx = union, local
-    XT = np.ascontiguousarray(X.T[rows])
-    (p, n), k = XT.shape, idx.shape[1]
-    norms = np.einsum("ij,ij->i", XT, XT)
-    c2 = float(norms.max())
+    When more chunks follow and the Gram matrix of the u columns in use
+    costs less than the supports' own (u^2 <= count k^2) and fits
+    ``_CHUNK_BYTES``, it is formed once, and in each later chunk the
+    supports that :func:`_settled` certifies against it and the running
+    values are skipped. The rest take the exact path."""
+    union, idx = _union(idx, X.shape[1])  # copy only the rows of X^T in use
+    XT = np.ascontiguousarray(X.T[union])
+    (u, n), (count, k) = XT.shape, idx.shape
     # a support's gathered k x n rows and about six k x k matrices (Gram
-    # matrices, its share of the inertia-test stack and temporaries), plus
-    # the rows and Gram matrix of the chunk's column union, which is used
-    # only while it has at most k sqrt(chunk) columns
-    per_support = 8 * k * (n + 6 * k)
-    union_cap = min(p, k * math.isqrt(max(1, _CHUNK_BYTES // per_support)))
-    chunk = max(1, (_CHUNK_BYTES - 8 * union_cap * (n + union_cap)) // per_support)
+    # matrices, its share of the inertia-test stack and temporaries)
+    chunk = max(1, _CHUNK_BYTES // (8 * k * (n + 6 * k)))
+    gram = None
+    if count > chunk and u * u <= min(count * k * k, _CHUNK_BYTES // 8):
+        gram = XT @ XT.T
+        c2 = float(np.diagonal(gram).max())
     u_s, l_s, degenerate = _decompose(XT, idx[:chunk], -math.inf, math.inf, 0)
-    for start in range(chunk, idx.shape[0], chunk):
+    for start in range(chunk, count, chunk):
         supports = idx[start:start + chunk]
-        margin = _margin(k, n, c2, u_s)
-        supports = supports[~_settled(XT, supports, norms, u_s, l_s, margin)]
+        if gram is not None:
+            supports = supports[~_settled(gram, supports, u_s, l_s, _margin(k, n, c2, u_s))]
         if supports.shape[0]:
             u_s, l_s, degenerate = _decompose(XT, supports, u_s, l_s, degenerate)
     return u_s, l_s, degenerate
@@ -607,14 +611,15 @@ def dsrip(
     Designs whose column scales span orders of magnitude leave far more
     supports to the exact path.
 
-    ``monte_carlo`` holds O(N*k) index storage and one copy of the rows of
-    X^T the supports use (all of them when N*k is at least the size of
-    X). Its first chunk takes the exact path. Every chunk after it goes to
-    the two LDL^T inertia tests of each support when the chunk's column
-    union has u <= k sqrt(chunk) columns: one O(n*u^2) union Gram product
-    per chunk and O(k^3) per support. Only the supports these cannot
-    settle, and every support of a chunk with a larger union (supports
-    over many columns), take the exact path.
+    ``monte_carlo`` draws the N supports into one (N, k) index array, with
+    1 + s ``rng.choice`` calls per support, and holds one copy of the u
+    rows of X^T that the supports use. Its first chunk takes the exact
+    path. When the u x u Gram matrix of those rows costs less than the
+    supports' own (u^2 <= N k^2) and fits in about 4 MiB, it is formed
+    once, O(n*u^2), and every chunk after the first goes to the two LDL^T
+    inertia tests of each support, O(k^3) each; only the supports these
+    cannot settle take the exact path. Otherwise (supports spread over
+    many columns) every support takes the exact path.
 
     ``trials`` is required for ``monte_carlo``, as a positive integer, and
     is recorded in the report as an int; the exhaustive method rejects it.
@@ -638,9 +643,10 @@ def dsrip(
                 f"trials must be a positive integer for method 'monte_carlo', got {trials!r}"
             )
         trials = int(trials)
-        rng = stream(seed)
-        idx = np.array([_sample_support(rng, m, d, s, s0) for _ in range(trials)])
-        u_s, l_s, degenerate = _sampled_eigs(X, idx)
+        # no name holds the draw, so it is freed once _sampled_eigs has
+        # renumbered it
+        u_s, l_s, degenerate = _sampled_eigs(
+            X, _sample_supports(stream(seed), trials, m, d, s, s0))
     else:
         raise ValueError(f"unknown method {method!r}")
 

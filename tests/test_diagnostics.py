@@ -578,8 +578,7 @@ def test_settled_never_settles_a_support_beyond_the_thresholds(case):
     m, d, s, s0, X, *_ = case
     idx = diagnostics._support_indices(m, d, s, s0)
     for XT, u_s, l_s, margin, _, outside, degenerate in _prefix_cases(X, m, d, s, s0):
-        norms = np.einsum("ij,ij->i", XT, XT)
-        settled = diagnostics._settled(XT, idx, norms, u_s, l_s, margin)
+        settled = diagnostics._settled(XT @ XT.T, idx, u_s, l_s, margin)
         assert not np.any(settled & (outside | degenerate))
 
 
@@ -587,14 +586,12 @@ def test_settled_never_settles_a_support_beyond_the_thresholds(case):
                                       (3, 6, 1, 3), (3, 6, 2, 6), (250, 1, 2, 1)])
 def test_settled_matches_the_exact_eigenvalues(m, d, s, s0):
     # away from the thresholds the LDL^T tests decide exactly as the
-    # eigenvalues do, on grids with s = 1, s = 3, s0 = d and r = 1 whose
-    # column union is small enough for the tests to run
+    # eigenvalues do, on grids with s = 1, s = 3, s0 = d and r = 1
     X = simulate.gen_design(40, m * d, "gaussian_iid", stream(33))
     idx = diagnostics._support_indices(m, d, s, s0)
     for XT, u_s, l_s, margin, inside, outside, degenerate in _prefix_cases(X, m, d, s, s0):
         assert not degenerate.any()
-        norms = np.einsum("ij,ij->i", XT, XT)
-        settled = diagnostics._settled(XT, idx, norms, u_s, l_s, margin)
+        settled = diagnostics._settled(XT @ XT.T, idx, u_s, l_s, margin)
         assert np.array_equal(settled[inside | outside], inside[inside | outside])
 
 
@@ -685,27 +682,62 @@ def test_most_supports_never_reach_the_inertia_tests(monkeypatch):
     assert 0 < sum(decomposed) <= 47040 // 50
 
 
-@pytest.mark.parametrize("chunk_bytes", [None, 5000])
-def test_monte_carlo_tests_every_chunk_after_the_first(monkeypatch, chunk_bytes):
-    # the first chunk seeds u_s and l_s by eigvalsh alone; every later chunk,
-    # the ragged last one too, goes whole to the per-support tests of _settled
-    if chunk_bytes is not None:
-        monkeypatch.setattr(diagnostics, "_CHUNK_BYTES", chunk_bytes)
-    X = simulate.gen_design(100, 48, "gaussian_iid", stream(27))
+def _monte_carlo_calls(monkeypatch, X, grid, trials, seed):
+    # the report of a Monte-Carlo dsrip, the chunk sizes _settled was given
+    # and the size of the first stacked eigvalsh; every patch is then undone
     settled, eigvalsh = diagnostics._settled, np.linalg.eigvalsh
     tested, decomposed = [], []
     monkeypatch.setattr(
         diagnostics, "_settled",
-        lambda XT, supports, *args: tested.append(len(supports)) or settled(XT, supports, *args),
+        lambda gram, supports, *args: tested.append(len(supports)) or settled(gram, supports, *args),
     )
     monkeypatch.setattr(
         np.linalg, "eigvalsh", lambda a: decomposed.append(len(a)) or eigvalsh(a)
     )
+    rep = diagnostics.dsrip(X, *grid, method="monte_carlo", trials=trials, seed=seed)
+    monkeypatch.undo()
+    return rep, tested, decomposed[0]
+
+
+@pytest.mark.parametrize("chunk_bytes", [None, 20000])
+def test_monte_carlo_tests_every_chunk_after_the_first(monkeypatch, chunk_bytes):
+    # the first chunk seeds u_s and l_s by eigvalsh alone; every later chunk,
+    # the ragged last one too, goes whole to the per-support tests of _settled
+    # (at 20 000 bytes the 18 KB Gram matrix of the 48 columns still fits)
+    if chunk_bytes is not None:
+        monkeypatch.setattr(diagnostics, "_CHUNK_BYTES", chunk_bytes)
+    X = simulate.gen_design(100, 48, "gaussian_iid", stream(27))
     trials = 1500
-    diagnostics.dsrip(X, 6, 8, 2, 3, method="monte_carlo", trials=trials, seed=3)
-    chunk = decomposed[0]
+    _, tested, chunk = _monte_carlo_calls(monkeypatch, X, (6, 8, 2, 3), trials, 3)
     assert len(tested) >= 2
     assert tested == [min(chunk, trials - start) for start in range(chunk, trials, chunk)]
+
+
+def test_monte_carlo_certifies_against_one_gram_matrix_of_every_column_in_use(monkeypatch):
+    # at (30,8,2,3) the 4000 supports use all 240 columns, whose Gram matrix
+    # costs less than the supports' own (240^2 <= 4000 * 6^2) and fits a
+    # chunk: it is formed once, and every chunk after the first is tested
+    grid, trials = (30, 8, 2, 3), 4000
+    X = simulate.gen_design(100, 240, "gaussian_iid", stream(42))
+    rep, tested, chunk = _monte_carlo_calls(monkeypatch, X, grid, trials, 8)
+    assert len(tested) >= 2
+    assert tested == [min(chunk, trials - start) for start in range(chunk, trials, chunk)]
+    supports = _sampled_supports(8, trials, *grid)
+    assert (rep.u_s, rep.l_s, rep.degenerate_supports) == _extreme_eigs_loop(X, supports)
+
+
+def test_monte_carlo_past_the_gram_cap_takes_the_exact_path(monkeypatch):
+    # the 60 columns in use cost less as one Gram matrix than the supports'
+    # own, but its 28 800 bytes do not fit a 20 000-byte chunk: no support
+    # is tested and every one takes eigvalsh
+    monkeypatch.setattr(diagnostics, "_CHUNK_BYTES", 20000)
+    grid, trials = (10, 6, 2, 3), 300
+    X = simulate.gen_design(100, 60, "gaussian_iid", stream(43))
+    rep, tested, _ = _monte_carlo_calls(monkeypatch, X, grid, trials, 9)
+    supports = _sampled_supports(9, trials, *grid)
+    assert len({c for idx in supports for c in idx}) == 60 and 60 ** 2 <= trials * 6 ** 2
+    assert tested == []
+    assert (rep.u_s, rep.l_s, rep.degenerate_supports) == _extreme_eigs_loop(X, supports)
 
 
 @pytest.mark.parametrize("n,k", [(1, 1), (4, 2), (6, 3), (7, 7), (9, 1), (9, 4), (250, 2)])

@@ -13,11 +13,12 @@ on a side is its best round.
 
 Per grid and design kind, the script prints each side's median time over
 the designs and the median and the largest ratio of the second side's
-time to the first's. Run on an otherwise idle host. The same code can
-run at one of two speeds for the life of a process, so trust a ratio
-only when it repeats across runs: on a 2-vCPU host, a run with the same
-tree on both sides kept 92 of 96 median ratios within 0.95-1.05 (all
-within 0.94-1.08).
+time to the first's. Run on an otherwise idle host. A shared host can
+slow every process at once, in bursts that start and end mid-process, so
+only paired runs that alternate between the two trees, as here, can
+compare them, and a ratio is to be trusted only when it repeats across
+runs: on a 2-vCPU host, a run with the same tree on both sides kept 92 of
+96 median ratios within 0.95-1.05 (all within 0.94-1.08).
 """
 
 from __future__ import annotations

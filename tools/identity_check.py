@@ -25,7 +25,12 @@ The corpus:
   a second magnitude: every ``PackingSet`` field, floats as ``float.hex``
   and ``elements`` as the bytes of its ``columns`` and ``contents``, and the
   bytes ``export_codebook`` writes;
-- ``cli/packing/...``: the stdout of ``doublesparse packing`` at 2 sizes.
+- ``cli/packing/...``: the stdout of ``doublesparse packing`` at 2 sizes;
+- ``dsrip/monte_carlo/gram/...``: Monte-Carlo reports on Gaussian designs
+  (n = 100) where the Gram matrix of the columns in use decides which
+  supports are certified: (30,8,2,3) with 4000 trials x 3 seeds, whose
+  240 columns it holds, and (100,8,2,3) with 20 000 trials, whose 800
+  columns do not fit its cap.
 
 Later cases go at the end of ``corpus``; a case's name fixes its inputs.
 """
@@ -67,6 +72,10 @@ PACKINGS = [
     (8, 6, 4, 2), (6, 16, 4, 1), (12, 6, 4, 2), (8, 8, 4, 2), (6, 31, 4, 1),
 ]
 CLI_PACKINGS = [(8, 8, 2, 2), (6, 16, 4, 1)]
+# (m, d, s, s0, trials, seeds): Monte-Carlo on Gaussian designs with
+# n = 100, where every chunk after the first is certified against one Gram
+# matrix of the columns in use, and where that matrix outgrows its cap
+MC_GRAM = [(30, 8, 2, 3, 4000, SEEDS), (100, 8, 2, 3, 20000, [0])]
 THREAD_VARS = ["OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"]
 
 
@@ -146,7 +155,7 @@ def cli_bytes(argv) -> bytes:
 def corpus():
     """(name, thunk returning bytes) for every case, in a fixed order."""
     import numpy as np
-    from doublesparse import diagnostics, estimators
+    from doublesparse import diagnostics, estimators, simulate
     from doublesparse.core import GroupedMatrix, SparsityBudget, stream
 
     for m, d, s, s0 in DSRIP_GRIDS:
@@ -176,6 +185,12 @@ def corpus():
     for m, d, s, s0 in CLI_PACKINGS:
         argv = ["packing", "--m", str(m), "--d", str(d), "--s", str(s), "--s0", str(s0)]
         yield f"cli/packing/{m},{d},{s},{s0}", lambda argv=argv: cli_bytes(argv)
+    for m, d, s, s0, trials, seeds in MC_GRAM:
+        for seed in seeds:
+            X = simulate.gen_design(100, m * d, "gaussian_iid", stream(9300 + seed))
+            yield (f"dsrip/monte_carlo/gram/{m},{d},{s},{s0}/trials={trials}/{seed}",
+                   lambda X=X, g=(m, d, s, s0), t=trials, seed=seed: report_bytes(
+                       diagnostics.dsrip(X, *g, method="monte_carlo", trials=t, seed=seed)))
 
 
 def worker():
