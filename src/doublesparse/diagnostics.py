@@ -15,8 +15,10 @@ that of an eigvalsh on every support, bit for bit. The certificates:
 - LDL^T inertia tests (:func:`_prefix_settled` in an enumeration,
   :func:`_settled` in Monte-Carlo): elimination without pivoting keeps
   every pivot of (u_s - M) I - G~ and of G~ - (l_s + M) I positive, G~
-  gathered from the Gram matrix of a column union (in Monte-Carlo, of
-  every column the supports use, formed once per call). G~ may be a larger
+  gathered from the Gram matrix of every column the supports use, formed
+  at most once per call by one rule for both methods (:func:`_gram`): only
+  when it costs less than the supports' own and fits _CHUNK_BYTES, and
+  with no such matrix no support takes these tests. G~ may be a larger
   K x K matrix that holds the support's as a principal submatrix: by
   Cauchy's interlacing theorem (Horn & Johnson, Matrix Analysis, ch. 4)
   the support's eigenvalues lie between its extreme ones, so a test that
@@ -115,10 +117,10 @@ NOISE_EVENT_CONSTANT = 10.0
 
 _EXHAUSTIVE_GUARD = 4 * 10**6
 # working bytes per chunk of supports: gathered rows, Gram matrices and, in
-# Monte-Carlo, the inertia-test stack; also the most a Monte-Carlo call's
-# Gram matrix of its columns in use may take, and per block of
-# interval-table rows, per chunk of interval reads, and per chunk of column
-# sets and of prefixes in the prefix pass
+# Monte-Carlo, the inertia-test stack; also the most a call's one Gram
+# matrix of its columns in use (_gram, either method) may take, and per
+# block of interval-table rows, per chunk of interval reads, and per chunk
+# of column sets and of prefixes in the prefix pass
 _CHUNK_BYTES = 1 << 22
 _DEGENERATE_TOL = 1e-12
 # an exhaustive enumeration seeds u_s and l_s with the exact eigenvalues of
@@ -198,17 +200,30 @@ def _sample_supports(rng, trials, m, d, s, s0) -> np.ndarray:
         cols[t] = rng.choice(m, size=s, replace=False)
         rows[t] = [rng.choice(d, size=s0, replace=False) for _ in range(s)]
     rows.sort()
-    rows += d * np.sort(cols)[:, :, None]
+    cols.sort()
+    cols *= d
+    rows += cols[:, :, None]
     return rows.reshape(trials, s * s0)
 
 
-def _union(supports, p):
+def _union(supports, p) -> np.ndarray:
     """The sorted column union of the index array ``supports`` over p
-    columns, and each entry's position in it (``supports``' shape): what
-    ``np.unique(supports, return_inverse=True)`` gives, without a sort."""
+    columns, with ``supports`` renumbered in place to each entry's position
+    in it: what ``np.unique(supports, return_inverse=True)`` gives, without
+    a sort or a second index array."""
     present = np.zeros(p, dtype=bool)
     present[supports] = True
-    return np.flatnonzero(present), (np.cumsum(present) - 1)[supports]
+    # mode="clip" writes into ``supports`` directly; "raise" buffers a copy
+    np.take(np.cumsum(present) - 1, supports, out=supports, mode="clip")
+    return np.flatnonzero(present)
+
+
+def _gram(XT, count, k):
+    """X^T X over the u rows of ``XT``, the columns in use, when it costs
+    less than the Gram matrices of ``count`` supports of k columns (u^2 <=
+    count k^2) and fits ``_CHUNK_BYTES``; otherwise None."""
+    u = XT.shape[0]
+    return XT @ XT.T if u * u <= min(count * k * k, _CHUNK_BYTES // 8) else None
 
 
 def _margin(k, n, c2, u_s) -> float:
@@ -260,12 +275,14 @@ def _settled(gram, supports, u_s, l_s, margin) -> np.ndarray:
     return passed[:count] & above & (norms > _DEGENERATE_TOL + margin)
 
 
-def _prefix_settled(XT, sets, row_sets, d, u_s, l_s, c2, open_top, open_bottom):
+def _prefix_settled(gram, n, sets, row_sets, d, u_s, l_s, c2, open_top, open_bottom):
     """Per support of the enumeration over ``sets = _combinations(m, s)``
     and ``row_sets = _combinations(d, s0)``: whether the two LDL^T inertia
     tests certify lambda_max < u_s - M and lambda_min > l_s + M, with M
-    the margin of the largest matrix a test eliminates and ``c2`` the
-    largest squared column norm. The upper test runs on the
+    the margin of the largest matrix a test eliminates, for columns of
+    length ``n`` and ``c2`` the largest squared column norm. Every matrix
+    is gathered from ``gram`` = X^T X, formed once per call by
+    :func:`_gram`. The upper test runs on the
     prefixes (below) that hold a support of the bool mask ``open_top``, the
     lower test on those that hold one of ``open_bottom``; a support that a
     test skips counts as passing it (see the module docstring). The
@@ -275,8 +292,9 @@ def _prefix_settled(XT, sets, row_sets, d, u_s, l_s, c2, open_top, open_bottom):
     s - 1 columns, P = (s - 1) s0 rows. The prefix's K x K matrix (K = P +
     d) holds those rows and every row of the last column, so the r
     supports that extend the prefix are its principal submatrices, and a
-    test that passes on it passes on all r (interlacing). Per chunk of
-    column sets, from the Gram matrix of the chunk's column union:
+    test that passes on it passes on all r (interlacing). The caller runs
+    the pass only when that matrix is no larger than theirs (K^2 <= r k^2).
+    Per chunk of column sets:
 
     - each column set's s d x s d matrix is eliminated once per test, the
       last column's d rows first, and each prefix's P x P block of the
@@ -287,20 +305,13 @@ def _prefix_settled(XT, sets, row_sets, d, u_s, l_s, c2, open_top, open_bottom):
     - the prefixes still open take the test as their supports'
       eliminations, with the first P pivots shared: the K x K matrix with
       the prefix pivoted first, then the s0 x s0 block of the Schur
-      complement at each of the r row subsets of the last column.
-
-    None is settled when a prefix matrix is larger than its r supports'
-    own (K^2 > r k^2), or in a chunk whose union's Gram matrix is larger
-    than both the chunk's column-set matrices and ``_CHUNK_BYTES``."""
-    n = XT.shape[1]
+      complement at each of the r row subsets of the last column."""
     s, s0 = sets.shape[1], row_sets.shape[1]
     k, P = s * s0, (s - 1) * s0
     K, S = P + d, s * d
     r = row_sets.shape[0]
     R = r ** (s - 1)  # prefixes per column set
     settled = np.ones((sets.shape[0] * R, r), dtype=bool)
-    if K * K > r * k * k:
-        return np.zeros(settled.size, dtype=bool)
     # per column set and prefix, whether it takes the upper and the lower test
     tested = [mask.reshape(-1, R, r).any(2) for mask in (open_top, open_bottom)]
     # per column set, whether it takes each test on its prefixes' K x K
@@ -327,16 +338,10 @@ def _prefix_settled(XT, sets, row_sets, d, u_s, l_s, c2, open_top, open_bottom):
     for start in range(0, todo.size, step):
         chosen = todo[start:start + step]
         rows = (d * sets[chosen][:, order, None] + np.arange(d)).reshape(chosen.size, S)
-        union, local = _union(rows, XT.shape[0])
-        if union.size ** 2 > max(rows.size * S, _CHUNK_BYTES // 8):
-            settled.reshape(-1, R, r)[chosen] = False
-            continue
-        XU = XT[union]
-        gram = XU @ XU.T
         left = [t[chosen] for t in tested]
         upper, lower = (np.flatnonzero(w[chosen]) for w in whole)
         if upper.size + lower.size:
-            A = _shifted_stack(gram, local[upper], local[lower], u_s, l_s, margin_K)
+            A = _shifted_stack(gram, rows[upper], rows[lower], u_s, l_s, margin_K)
             ok = _eliminate(A, d)
             blocks = A[schur[:, None], schur[None, :]]  # P x P x R x (upper + lower)
             blocks = blocks.reshape(P, P, R * ok.size)
@@ -344,7 +349,7 @@ def _prefix_settled(XT, sets, row_sets, d, u_s, l_s, c2, open_top, open_bottom):
             left[0][upper] &= ~passed[:upper.size]
             left[1][lower] &= ~passed[upper.size:]
         sides = [np.nonzero(t) for t in left]  # (column set in chunk, prefix)
-        stacks = [local[at[:, None], within[j]] for at, j in sides]
+        stacks = [rows[at[:, None], within[j]] for at, j in sides]
         states = [chosen[at] * R + j for at, j in sides]
         for lo in range(0, max(len(ids) for ids in states), leaf_step):
             part = slice(lo, lo + leaf_step)
@@ -468,11 +473,13 @@ def _extreme_eigs(X, grid):
     each end, and an enumeration that fits it takes the exact path whole.
     Otherwise it takes the highest upper and the lowest lower interval
     ends; with ties at either cut, the first supports at or past a cut, as
-    many as without ties. :func:`_prefix_settled` settles only
-    supports whose interval mean is above the degeneracy tolerance plus
-    M, each prefix test running only where a pending support's interval
-    leaves it open. In each chunk of the supports left, those that their
-    interval certifies against the running values are skipped.
+    many as without ties. :func:`_prefix_settled` runs only when some
+    support is pending, K^2 <= r k^2 and :func:`_gram` forms X^T X. It
+    settles only supports whose interval mean is above the degeneracy
+    tolerance plus M, each prefix test running only where a pending
+    support's interval leaves it open. In each chunk of the supports
+    left, those that their interval certifies against the running values
+    are skipped.
     """
     m, d, s, s0 = grid
     XT = np.ascontiguousarray(X.T)
@@ -498,10 +505,15 @@ def _extreme_eigs(X, grid):
     top, bottom, flat = _open(intervals, u_s, l_s, _margin(k, n, c2, u_s))
     pending = top | bottom | flat
     pending[seed] = False
-    if pending.any():
-        settled = _prefix_settled(XT, sets, row_sets, d, u_s, l_s, c2,
-                                  pending & top, pending & bottom)
-        pending &= ~settled | flat
+    # the prefix pass runs only while a prefix's K x K matrix costs no more
+    # than its r supports' own (K^2 <= r k^2) and X^T X passes _gram's rule
+    K = (s - 1) * s0 + d
+    if pending.any() and K * K <= row_sets.shape[0] * k * k:
+        gram = _gram(XT, count, k)
+        if gram is not None:
+            settled = _prefix_settled(gram, n, sets, row_sets, d, u_s, l_s, c2,
+                                      pending & top, pending & bottom)
+            pending &= ~settled | flat
     rest = np.flatnonzero(pending)
     for start in range(0, rest.size, chunk):
         picks = rest[start:start + chunk]
@@ -515,20 +527,19 @@ def _extreme_eigs(X, grid):
 def _sampled_eigs(X, idx):
     """(u_s, l_s, degenerate) over the supports in the rows of ``idx``, in
     chunks. The first chunk takes the exact path, which seeds u_s and l_s.
-    When more chunks follow and the Gram matrix of the u columns in use
-    costs less than the supports' own (u^2 <= count k^2) and fits
-    ``_CHUNK_BYTES``, it is formed once, and in each later chunk the
-    supports that :func:`_settled` certifies against it and the running
-    values are skipped. The rest take the exact path."""
-    union, idx = _union(idx, X.shape[1])  # copy only the rows of X^T in use
+    When more chunks follow and :func:`_gram` forms the Gram matrix of the
+    u columns in use (u^2 <= count k^2, and it fits ``_CHUNK_BYTES``), in
+    each later chunk the supports that :func:`_settled` certifies against
+    it and the running values are skipped. The rest take the exact path.
+    ``idx`` is renumbered in place to index the columns in use."""
+    union = _union(idx, X.shape[1])  # copy only the rows of X^T in use
     XT = np.ascontiguousarray(X.T[union])
-    (u, n), (count, k) = XT.shape, idx.shape
+    n, (count, k) = XT.shape[1], idx.shape
     # a support's gathered k x n rows and about six k x k matrices (Gram
     # matrices, its share of the inertia-test stack and temporaries)
     chunk = max(1, _CHUNK_BYTES // (8 * k * (n + 6 * k)))
-    gram = None
-    if count > chunk and u * u <= min(count * k * k, _CHUNK_BYTES // 8):
-        gram = XT @ XT.T
+    gram = _gram(XT, count, k) if count > chunk else None
+    if gram is not None:
         c2 = float(np.diagonal(gram).max())
     u_s, l_s, degenerate = _decompose(XT, idx[:chunk], -math.inf, math.inf, 0)
     for start in range(chunk, count, chunk):
@@ -593,11 +604,13 @@ def dsrip(
     two LDL^T inertia tests by prefix, its column set and the row subsets
     of its first s - 1 columns (P = (s - 1) s0 rows, K = P + d with every
     row of the last column), each test only where an interval leaves it
-    open, and none when K^2 > C(d, s0) k^2. Per chunk of about 4 MiB of
-    column sets, one O(n*u^2) Gram product of its column union of u
-    columns; then, on each column set where most prefixes take a test,
-    O(d (s d)^2) to eliminate its last column and O(P^3) per prefix, which
-    settles the C(d, s0) supports that extend a prefix whose K x K matrix
+    open. Every test reads the p x p Gram matrix X^T X, formed once,
+    O(n p^2), by the rule Monte-Carlo uses below (p^2 <= N k^2 and about
+    4 MiB, so p <= 724), and only when K^2 <= C(d, s0) k^2; otherwise no
+    support takes these tests. Per chunk of about 4 MiB of column sets, on
+    each column set where most prefixes take a test, O(d (s d)^2) to
+    eliminate its last column and O(P^3) per prefix, which settles the
+    C(d, s0) supports that extend a prefix whose K x K matrix
     passes; and for the prefixes left, O(P*K^2) per prefix and test and
     O(s0^3) per support and test. On Gaussian designs at (6, 8, 2, 3)
     about a tenth of the prefixes take the upper test and nearly all the
@@ -643,8 +656,8 @@ def dsrip(
                 f"trials must be a positive integer for method 'monte_carlo', got {trials!r}"
             )
         trials = int(trials)
-        # no name holds the draw, so it is freed once _sampled_eigs has
-        # renumbered it
+        # _sampled_eigs renumbers the draw in place, so no second copy of
+        # it is made
         u_s, l_s, degenerate = _sampled_eigs(
             X, _sample_supports(stream(seed), trials, m, d, s, s0))
     else:

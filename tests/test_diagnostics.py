@@ -406,12 +406,12 @@ def _largest_norm(XT):
 
 def _every_prefix(XT, grid, u_s, l_s, c2=None):
     # both tests on every prefix, the lower one only while l_s > 0, as the
-    # enumeration's masks have it
+    # enumeration's masks have it, against the Gram matrix of every column
     m, d, s, s0 = grid
     tested = np.ones(diagnostics._support_count(*grid), dtype=bool)
     c2 = _largest_norm(XT) if c2 is None else c2
-    return diagnostics._prefix_settled(XT, *_tables(*grid), d, u_s, l_s, c2,
-                                       tested, tested & (l_s > 0.0))
+    return diagnostics._prefix_settled(XT @ XT.T, XT.shape[1], *_tables(*grid), d, u_s, l_s,
+                                       c2, tested, tested & (l_s > 0.0))
 
 
 @settings(max_examples=400, deadline=None, derandomize=True, database=None)
@@ -440,8 +440,9 @@ def test_prefix_settled_with_open_masks_never_settles_a_support_beyond_the_thres
             intervals = diagnostics._support_intervals(XT, d, *tables)
             top, bottom, flat = diagnostics._open(intervals, u_s, l_s, margin)
             pending = top | bottom | flat
-            settled = diagnostics._prefix_settled(XT, *tables, d, u_s, l_s, _largest_norm(XT),
-                                                  pending & top, pending & bottom)
+            settled = diagnostics._prefix_settled(XT @ XT.T, XT.shape[1], *tables, d, u_s, l_s,
+                                                  _largest_norm(XT), pending & top,
+                                                  pending & bottom)
             assert not np.any(settled & outside & pending)
             full = _every_prefix(XT, grid, u_s, l_s)
             assert np.all(settled[pending] >= full[pending])
@@ -453,8 +454,7 @@ def test_prefix_settled_with_open_masks_never_settles_a_support_beyond_the_thres
 def test_prefix_settled_matches_the_exact_eigenvalues(monkeypatch, m, d, s, s0, chunk_bytes):
     # away from the thresholds the shared-prefix LDL^T tests decide exactly
     # as the eigenvalues do, on grids with s = 1, s = 3, s0 = d and r = 1,
-    # with every prefix in one chunk or each in its own (a chunk whose
-    # union's Gram matrix outgrows it settles nothing)
+    # with every prefix in one chunk or each in its own
     if chunk_bytes is not None:
         monkeypatch.setattr(diagnostics, "_CHUNK_BYTES", chunk_bytes)
     X = simulate.gen_design(40, m * d, "gaussian_iid", stream(33))
@@ -463,11 +463,37 @@ def test_prefix_settled_matches_the_exact_eigenvalues(monkeypatch, m, d, s, s0, 
         assert np.array_equal(settled[inside | outside], inside[inside | outside])
 
 
-def test_prefix_settled_leaves_every_support_when_a_prefix_outgrows_its_supports():
-    # (12, 2, 2, 1): prefix matrices of 3 x 3 against two supports of 2 x 2
-    X = simulate.gen_design(20, 24, "gaussian_iid", stream(34))
-    settled = _every_prefix(np.ascontiguousarray(X.T), (12, 2, 2, 1), 1e9, 0.0, 0.0)
-    assert settled.shape == (264,) and not settled.any()
+@pytest.mark.parametrize("grid,n,chunk_bytes,formed", [
+    # one X^T X of the 48 columns for the pass
+    pytest.param((6, 8, 2, 3), 100, None, [True], id="formed"),
+    # the 216 supports fit the seed: none is pending
+    pytest.param((4, 4, 2, 2), 30, None, [], id="nothing-pending"),
+    # prefix matrices of 3 x 3 against two supports of 2 x 2 (K^2 > r k^2)
+    pytest.param((12, 2, 2, 1), 20, None, [], id="prefix-outgrows-its-supports"),
+    # 60^2 <= N k^2, but its 28 800 bytes do not fit a 20 000-byte chunk
+    pytest.param((10, 6, 2, 2), 30, 20000, [False], id="past-a-small-cap"),
+    # p = 726: past the cap of 4 MiB (p <= 724)
+    pytest.param((363, 2, 2, 2), 6, None, [False], id="past-the-cap"),
+])
+def test_exhaustive_dsrip_forms_the_gram_matrix_at_most_once(monkeypatch, grid, n, chunk_bytes,
+                                                             formed):
+    # _gram is asked at most once per call, and only when the prefix pass
+    # can run; the pass runs exactly when it formed X^T X, and reads that
+    # matrix; without it the report is still that of eigvalsh on every support
+    if chunk_bytes is not None:
+        monkeypatch.setattr(diagnostics, "_CHUNK_BYTES", chunk_bytes)
+    gram, prefix_settled = diagnostics._gram, diagnostics._prefix_settled
+    grams, passes = [], []
+    monkeypatch.setattr(diagnostics, "_gram", lambda *args: grams.append(gram(*args)) or grams[-1])
+    monkeypatch.setattr(diagnostics, "_prefix_settled",
+                        lambda G, *args: passes.append(G) or prefix_settled(G, *args))
+    X = simulate.gen_design(n, grid[0] * grid[1], "gaussian_iid", stream(34))
+    rep = diagnostics.dsrip(X, *grid)
+    monkeypatch.undo()
+    assert [G is not None for G in grams] == formed
+    assert len(passes) == sum(formed) and all(G is grams[0] for G in passes)
+    want = _extreme_eigs_loop(X, _supports_enumerated(*grid))
+    assert (rep.u_s, rep.l_s, rep.degenerate_supports) == want
 
 
 @pytest.mark.parametrize("m,d,s,s0", [(1, 5, 1, 2), (2, 4, 2, 2), (3, 3, 3, 1), (3, 4, 3, 2)])
@@ -616,7 +642,8 @@ def test_union_matches_unique():
     rng = stream(28)
     for p, shape in [(48, (633, 6)), (7, (3, 2)), (4000, (40, 6)), (5, (1, 5))]:
         supports = rng.integers(p, size=shape)
-        union, local = diagnostics._union(supports, p)
+        local = supports.copy()  # renumbered in place
+        union = diagnostics._union(local, p)
         expected, inverse = np.unique(supports, return_inverse=True)
         assert np.array_equal(union, expected)
         assert np.array_equal(local, inverse.reshape(shape))
@@ -670,7 +697,8 @@ def test_most_supports_never_reach_the_inertia_tests(monkeypatch):
     )
     monkeypatch.setattr(
         diagnostics, "_prefix_settled",
-        lambda *args: prefix_calls.append(args[1:4]) or prefix_settled(*args),
+        lambda gram, n, sets, row_sets, d, *args: prefix_calls.append((sets, row_sets, d))
+        or prefix_settled(gram, n, sets, row_sets, d, *args),
     )
     monkeypatch.setattr(
         np.linalg, "eigvalsh", lambda a: decomposed.append(len(a)) or eigvalsh(a)

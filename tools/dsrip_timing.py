@@ -4,7 +4,9 @@
 
 Each SIDE=ROOT names a repository root holding the ``src`` tree to time.
 The designs are those of ``identity_check``: its ``DSRIP_GRIDS`` x
-``DESIGNS``, with 4 seeds per kind. In each of 12 rounds, each side runs
+``DESIGNS``, then its ``CHUNKED_GRIDS`` (enumerations whose column sets
+span several chunks of the prefix pass) on Gaussian designs with n = 100,
+with 4 seeds per grid and kind. In each of 12 rounds, each side runs
 this script once more as a worker, in a fresh subprocess with
 ``PYTHONPATH=ROOT/src`` and BLAS on 1 thread, and the side that goes first
 alternates from round to round. A worker makes one warm-up call per
@@ -27,11 +29,15 @@ import json
 import statistics
 import sys
 
-from identity_check import DESIGNS, DSRIP_GRIDS, design, parse_sides, run_side
+from identity_check import (CHUNKED_GRIDS, DESIGNS, DSRIP_GRIDS, design, gaussian,
+                            parse_sides, run_side)
 
 SEEDS = range(4)
 ROUNDS = 12
 CALLS = 5
+CHUNKED = "gaussian_n100"  # the kind of the CHUNKED_GRIDS rows
+ROWS = ([(grid, kind) for grid in DSRIP_GRIDS for kind in DESIGNS]
+        + [(grid, CHUNKED) for grid in CHUNKED_GRIDS])
 
 
 def worker():
@@ -40,17 +46,19 @@ def worker():
     from doublesparse import diagnostics
 
     times = {}
-    for grid in DSRIP_GRIDS:
-        for kind in DESIGNS:
-            for seed in SEEDS:
+    for grid, kind in ROWS:
+        for seed in SEEDS:
+            if kind == CHUNKED:
+                X = gaussian(grid[0] * grid[1], seed)
+            else:
                 X = design(kind, *grid, seed)
-                diagnostics.dsrip(X, *grid)  # warm-up
-                calls = []
-                for _ in range(CALLS):
-                    t0 = perf_counter()
-                    diagnostics.dsrip(X, *grid)
-                    calls.append(perf_counter() - t0)
-                times[f"{grid}/{kind}/{seed}"] = statistics.median(calls)
+            diagnostics.dsrip(X, *grid)  # warm-up
+            calls = []
+            for _ in range(CALLS):
+                t0 = perf_counter()
+                diagnostics.dsrip(X, *grid)
+                calls.append(perf_counter() - t0)
+            times[f"{grid}/{kind}/{seed}"] = statistics.median(calls)
     json.dump(times, sys.stdout)
 
 
@@ -69,15 +77,14 @@ def main(argv=None) -> int:
     a, b = roots
     print(f"| grid (m,d,s,s0) | kind | {a} ms | {b} ms | median {b}/{a} | largest {b}/{a} |")
     print("|---|---|---:|---:|---:|---:|")
-    for grid in DSRIP_GRIDS:
-        for kind in DESIGNS:
-            names = [f"{grid}/{kind}/{seed}" for seed in SEEDS]
-            first = [best[a][name] for name in names]
-            second = [best[b][name] for name in names]
-            ratios = [y / x for x, y in zip(first, second)]
-            print(f"| {grid} | {kind} | {1e3 * statistics.median(first):.2f} "
-                  f"| {1e3 * statistics.median(second):.2f} "
-                  f"| {statistics.median(ratios):.3f} | {max(ratios):.3f} |")
+    for grid, kind in ROWS:
+        names = [f"{grid}/{kind}/{seed}" for seed in SEEDS]
+        first = [best[a][name] for name in names]
+        second = [best[b][name] for name in names]
+        ratios = [y / x for x, y in zip(first, second)]
+        print(f"| {grid} | {kind} | {1e3 * statistics.median(first):.2f} "
+              f"| {1e3 * statistics.median(second):.2f} "
+              f"| {statistics.median(ratios):.3f} | {max(ratios):.3f} |")
     return 0
 
 

@@ -30,7 +30,12 @@ The corpus:
   (n = 100) where the Gram matrix of the columns in use decides which
   supports are certified: (30,8,2,3) with 4000 trials x 3 seeds, whose
   240 columns it holds, and (100,8,2,3) with 20 000 trials, whose 800
-  columns do not fit its cap.
+  columns do not fit its cap;
+- ``dsrip/exhaustive/chunked/...``: exhaustive reports on Gaussian designs
+  (n = 100) x 3 seeds at grids whose column sets span several chunks of
+  the prefix pass: (30,8,2,3) with 2 chunks and (100,6,2,2) with 6, whose
+  X^T X fits its cap, and (363,2,2,2) and (242,3,2,2), whose p = 726
+  columns do not.
 
 Later cases go at the end of ``corpus``; a case's name fixes its inputs.
 """
@@ -76,6 +81,10 @@ CLI_PACKINGS = [(8, 8, 2, 2), (6, 16, 4, 1)]
 # n = 100, where every chunk after the first is certified against one Gram
 # matrix of the columns in use, and where that matrix outgrows its cap
 MC_GRAM = [(30, 8, 2, 3, 4000, SEEDS), (100, 8, 2, 3, 20000, [0])]
+# (m, d, s, s0): exhaustive grids whose column sets span several chunks of
+# the prefix pass, on Gaussian designs with n = 100; X^T X fits its cap of
+# 4 MiB (p <= 724) at the first two and not at the two with p = 726
+CHUNKED_GRIDS = [(30, 8, 2, 3), (100, 6, 2, 2), (363, 2, 2, 2), (242, 3, 2, 2)]
 THREAD_VARS = ["OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"]
 
 
@@ -99,6 +108,14 @@ def design(kind, m, d, s, s0, seed):
     elif kind == "unnormalized":
         X *= 10.0 ** rng.uniform(-3.0, 3.0, size=p)
     return X
+
+
+def gaussian(p, seed):
+    """An n x p Gaussian design with n = 100, drawn from ``stream(9300 + seed)``."""
+    from doublesparse import simulate
+    from doublesparse.core import stream
+
+    return simulate.gen_design(100, p, "gaussian_iid", stream(9300 + seed))
 
 
 def hexed(value):
@@ -155,7 +172,7 @@ def cli_bytes(argv) -> bytes:
 def corpus():
     """(name, thunk returning bytes) for every case, in a fixed order."""
     import numpy as np
-    from doublesparse import diagnostics, estimators, simulate
+    from doublesparse import diagnostics, estimators
     from doublesparse.core import GroupedMatrix, SparsityBudget, stream
 
     for m, d, s, s0 in DSRIP_GRIDS:
@@ -187,10 +204,15 @@ def corpus():
         yield f"cli/packing/{m},{d},{s},{s0}", lambda argv=argv: cli_bytes(argv)
     for m, d, s, s0, trials, seeds in MC_GRAM:
         for seed in seeds:
-            X = simulate.gen_design(100, m * d, "gaussian_iid", stream(9300 + seed))
+            X = gaussian(m * d, seed)
             yield (f"dsrip/monte_carlo/gram/{m},{d},{s},{s0}/trials={trials}/{seed}",
                    lambda X=X, g=(m, d, s, s0), t=trials, seed=seed: report_bytes(
                        diagnostics.dsrip(X, *g, method="monte_carlo", trials=t, seed=seed)))
+    for m, d, s, s0 in CHUNKED_GRIDS:
+        for seed in SEEDS:
+            yield (f"dsrip/exhaustive/chunked/{m},{d},{s},{s0}/{seed}",
+                   lambda X=gaussian(m * d, seed), g=(m, d, s, s0): report_bytes(
+                       diagnostics.dsrip(X, *g)))
 
 
 def worker():
