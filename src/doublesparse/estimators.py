@@ -164,9 +164,10 @@ def _iterate(X, Y, budget, schedule, beta0, truth, operator, bound_constant):
         if truth is None:
             return
         if moved:
-            # np.linalg.norm's formula for a real vector, without its dispatch
+            # einsum sums in one order whatever the BLAS thread count; a
+            # BLAS dot product does not
             diff = beta - truth
-            err = math.sqrt(diff.dot(diff))
+            err = math.sqrt(np.einsum("i,i->", diff, diff))
             excess = ((beta != 0) & off_truth).reshape((d, m), order="F")
             size = int(np.count_nonzero(excess))
             fits = budget._mask_fits(excess)

@@ -39,10 +39,6 @@ __all__ = [
 
 ESTIMATORS = ("dsiht", "dsiht_heterogeneous", "projection_glm", "iht_baseline")
 
-_INT_FIELDS = {"cell_index", "replicate", "seed", "m", "d", "s", "s0", "n", "iterations"}
-_BOOL_FIELDS = {"bound_flag", "excess_flag"}
-_STR_FIELDS = {"estimator", "design"}
-
 _BASELINE_STEPS = 50
 
 
@@ -97,6 +93,12 @@ class ExperimentRecord:
 
 # the serialized columns, in declaration order; wall time is opt-in
 RECORD_FIELDS = [f.name for f in fields(ExperimentRecord) if f.name != "wall_time_s"]
+
+# each column's text reader, by its annotation; an annotation missing here
+# fails at import rather than read as a float
+_READERS = {"int": int, "bool | None": lambda text: text == "true", "str": str,
+            "float": text_float, "float | None": text_float}
+_COLUMN_READERS = {f.name: _READERS[f.type] for f in fields(ExperimentRecord)}
 
 
 @dataclass
@@ -308,18 +310,6 @@ def _format_value(value) -> str:
     return str(value)
 
 
-def _parse_value(name: str, text: str):
-    if text == "":
-        return None
-    if name in _BOOL_FIELDS:
-        return text == "true"
-    if name in _INT_FIELDS:
-        return int(text)
-    if name in _STR_FIELDS:
-        return text
-    return text_float(text)
-
-
 def _json_value(value):
     # json writes every NaN as NaN; one it would not read back bit for bit
     # goes as its float_text string
@@ -356,29 +346,40 @@ def emit(records: list, path, fmt: str = "csv", include_timing: bool = False) ->
         raise OSError(f"failed writing records to {path}: {exc}") from exc
 
 
+def _record(path, line: int, pairs) -> ExperimentRecord:
+    """The record of one line's (column, value) pairs; a string value goes
+    through its column's reader."""
+    kwargs = {}
+    for name, value in pairs:
+        where = f"{path}, line {line}, column {name!r}"
+        if name not in _COLUMN_READERS:
+            raise ValueError(f"{where}: not a record column")
+        try:
+            kwargs[name] = _COLUMN_READERS[name](value) if isinstance(value, str) else value
+        except ValueError as exc:
+            raise ValueError(f"{where}: {exc}") from exc
+    return ExperimentRecord(**kwargs)
+
+
 def read_records(path, fmt: str = "csv") -> list:
-    """Read back what :func:`emit` wrote, losslessly."""
+    """Read back what :func:`emit` wrote, losslessly. A row that is not a
+    record raises ValueError naming the file, the line and the column."""
     records = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
         if fmt == "csv":
             reader = csv.reader(fh)
             header = next(reader)
             for row in reader:
-                kwargs = {
-                    name: _parse_value(name, text) for name, text in zip(header, row)
-                }
-                records.append(ExperimentRecord(**{"wall_time_s": 0.0, **kwargs}))
+                if len(row) != len(header):
+                    column = header[-1] if len(row) > len(header) else header[len(row)]
+                    raise ValueError(f"{path}, line {reader.line_num}, column {column!r}: "
+                                     f"{len(row)} values for {len(header)} columns")
+                values = (text or None for text in row)
+                records.append(_record(path, reader.line_num, zip(header, values)))
         elif fmt == "json":
-            for line in fh:
-                if not line.strip():
-                    continue
-                kwargs = {
-                    name: text_float(value)
-                    if isinstance(value, str) and name not in _STR_FIELDS
-                    else value
-                    for name, value in json.loads(line).items()
-                }
-                records.append(ExperimentRecord(**{"wall_time_s": 0.0, **kwargs}))
+            for line, text in enumerate(fh, 1):
+                if text.strip():
+                    records.append(_record(path, line, json.loads(text).items()))
         else:
             raise ValueError(f"unknown format {fmt!r}")
     return records
@@ -547,11 +548,7 @@ def _cmd_sweep(args):
     )
     if args.out:
         emit(records, args.out, fmt=args.format)
-    print(json.dumps({
-        "cells": summary.cells,
-        "slope": summary.slope,
-        "intercept": summary.intercept,
-    }, indent=2))
+    print(json.dumps(asdict(summary), indent=2))
     return 0
 
 
@@ -575,16 +572,11 @@ def _cmd_packing(args):
     )
     if args.out:
         bounds.export_codebook(packing, args.out)
-    print(json.dumps({
-        "size": len(packing.elements),
-        "min_pairwise_hamming": packing.min_pairwise_hamming,
-        "target": packing.target,
-        "stage_sizes": packing.stage_sizes,
-        "stage_bounds_met": packing.stage_bounds_met,
-        "log_cardinality": packing.log_cardinality,
-        "log_cardinality_bound": packing.log_cardinality_bound,
-        "log_cardinality_met": packing.log_cardinality_met,
-    }, indent=2))
+    report = {"size": len(packing.elements)} | {
+        f.name: getattr(packing, f.name)
+        for f in fields(packing) if f.name not in ("elements", "params")
+    }
+    print(json.dumps(report, indent=2))
     return 0
 
 

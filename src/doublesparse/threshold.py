@@ -121,10 +121,11 @@ def _matrix_stage(
         row_scores = (order * order).sum(axis=1)
         qualifying = np.nonzero(row_scores >= s * lam * lam)[0]
         i_max = int(qualifying[-1]) + 1 if qualifying.size else 0
-        # #{k : |U_kj| >= |U_ij|} <= i_max  <=>  |U_ij| > order[i_max, j]
-        cut = order[i_max] if i_max < d else -np.inf
     else:
-        i_max, cut = d, 0.0
+        i_max = d
+    # #{k : |U_kj| >= |U_ij|} <= i_max  <=>  |U_ij| > order[i_max, j]; at the
+    # full depth every nonzero entry qualifies, and no zero is active
+    cut = order[i_max] if i_max < d else 0.0
     active = (A > cut) & selected[None, :]
 
     result = GroupedMatrix._wrap(_frozen(np.where(active, V, 0.0)))
@@ -142,7 +143,8 @@ def step2_matrix(U: GroupedMatrix, lam: float, s: int, s0: int) -> ThresholdOutc
 
     The rank is never formed: with desc_j the magnitudes of column j in
     non-increasing order, the rank condition holds exactly when
-    |U_ij| > desc_j[i_max] (0-based), and for every entry when i_max = d.
+    |U_ij| > desc_j[i_max] (0-based), and for every nonzero entry when
+    i_max = d.
     """
     _check_lam(lam)
     return _matrix_stage(U.values, lam, s, s0, row_condition=True)

@@ -455,7 +455,8 @@ def reference_dsiht(X, Y, budget, schedule, beta0, truth):
         tr["lambdas"].append(lam)
         if truth is None:
             return
-        err = float(np.linalg.norm(beta - truth))
+        diff = beta - truth
+        err = math.sqrt(np.einsum("i,i->", diff, diff))
         tr["errors"].append(err)
         excess = ((beta != 0) & (truth == 0)).reshape(budget.d, budget.m, order="F")
         per_col = excess.sum(axis=0)

@@ -63,6 +63,31 @@ def test_emit_round_trip_lossless(tmp_path):
             assert a.bound_flag == b.bound_flag
 
 
+@pytest.mark.parametrize("edit, message", [
+    (lambda lines: lines[:2] + [lines[2] + ",1"] + lines[3:],
+     r"line 3, column 'rate_value': 22 values for 21 columns"),
+    (lambda lines: lines[:2] + [lines[2].rpartition(",")[0]] + lines[3:],
+     r"line 3, column 'rate_value': 20 values for 21 columns"),
+    (lambda lines: [lines[0].replace("seed", "sead")] + lines[1:],
+     r"line 2, column 'sead': not a record column"),
+])
+def test_read_records_rejects_a_malformed_csv_row(tmp_path, edit, message):
+    path = tmp_path / "rec.csv"
+    emit(run_cell(small_grid()[0], 2, "dsiht", seed=6), path)
+    path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
+    with pytest.raises(ValueError, match=f"rec.csv, {message}"):
+        read_records(path)
+
+
+def test_read_records_names_the_column_of_an_unreadable_value(tmp_path):
+    path = tmp_path / "rec.json"
+    emit(run_cell(small_grid()[0], 1, "dsiht", seed=6), path, fmt="json")
+    row = json.loads(path.read_text())
+    path.write_text(json.dumps({**row, "sq_error": "many"}) + "\n")
+    with pytest.raises(ValueError, match="rec.json, line 1, column 'sq_error'"):
+        read_records(path, fmt="json")
+
+
 def test_record_csv_header(tmp_path):
     path = tmp_path / "rec.csv"
     emit(run_cell(small_grid()[0], 1, "dsiht", seed=6), path)

@@ -88,6 +88,8 @@ def test_oracle_matches_fast_path_on_tie_grids():
         out = threshold.apply(U, lam, hard(U.cols, U.rows, s, s0))
         slow = threshold.literal_oracle(U, lam, s, s0).values
         assert np.array_equal(out.result.values, slow)
+        rows, cols = np.nonzero(out.result.values)
+        assert out.active_set.entries == frozenset(zip(rows.tolist(), cols.tolist()))
         if out.row_cut == 0:
             edges.add("none")
         elif out.row_cut == U.rows:

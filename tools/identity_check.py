@@ -35,7 +35,15 @@ The corpus:
   (n = 100) x 3 seeds at grids whose column sets span several chunks of
   the prefix pass: (30,8,2,3) with 2 chunks and (100,6,2,2) with 6, whose
   X^T X fits its cap, and (363,2,2,2) and (242,3,2,2), whose p = 726
-  columns do not.
+  columns do not;
+- ``sweep/...``: ``run_sweep`` on the fixed-seed grid (m = 20, d = 10,
+  s = 3, s0 = 2, n in {200, 400, 800}, sigma = 1, 20 replicates, seed 123;
+  the identity design for ``projection_glm``) for all four estimators at
+  jobs 1 and 2: the CSV and JSON bytes ``emit`` writes, the records
+  ``read_records`` returns from each, and the summary;
+- ``cli/solve/...``, ``cli/sweep/...``, ``cli/generate/...`` and
+  ``cli/rates/...``: the stdout of those subcommands, and the bytes of
+  every file they write.
 
 Later cases go at the end of ``corpus``; a case's name fixes its inputs.
 """
@@ -44,6 +52,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import hashlib
 import io
 import json
@@ -85,6 +94,9 @@ MC_GRAM = [(30, 8, 2, 3, 4000, SEEDS), (100, 8, 2, 3, 20000, [0])]
 # the prefix pass, on Gaussian designs with n = 100; X^T X fits its cap of
 # 4 MiB (p <= 724) at the first two and not at the two with p = 726
 CHUNKED_GRIDS = [(30, 8, 2, 3), (100, 6, 2, 2), (363, 2, 2, 2), (242, 3, 2, 2)]
+# the fixed-seed sweep grid: (m, d, s, s0), the sample sizes, replicates, seed
+SWEEP_GRID = ((20, 10, 3, 2), (200, 400, 800), 20, 123)
+ESTIMATORS = ["dsiht", "dsiht_heterogeneous", "projection_glm", "iht_baseline"]
 THREAD_VARS = ["OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"]
 
 
@@ -160,13 +172,47 @@ def packing_bytes(size, magnitude=1.0) -> bytes:
 
 
 def cli_bytes(argv) -> bytes:
-    """The exit code and stdout of ``doublesparse ARGV``."""
+    """The exit code and stdout of ``doublesparse ARGV``, run in an empty
+    directory, then the name and bytes of every file it wrote there."""
+    import tempfile
     from doublesparse import harness
 
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        code = harness.main(argv)
-    return f"{code}\n{out.getvalue()}".encode()
+    out, cwd = io.StringIO(), os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            with contextlib.redirect_stdout(out):
+                code = harness.main(argv)
+        finally:
+            os.chdir(cwd)
+        data = f"{code}\n{out.getvalue()}".encode()
+        for path in sorted(Path(tmp).iterdir()):
+            data += f"\n{path.name}\n".encode() + path.read_bytes()
+    return data
+
+
+@functools.cache
+def sweep_bytes(estimator, jobs) -> dict:
+    """The outputs of one fixed-seed sweep, as bytes by part: the files
+    ``emit`` writes in each format, the records read back from each, and
+    the summary."""
+    import tempfile
+    from dataclasses import asdict
+    from doublesparse import harness
+
+    (m, d, s, s0), ns, replicates, seed = SWEEP_GRID
+    design = "identity" if estimator == "projection_glm" else None
+    grid = [harness.Cell(m=m, d=d, s=s, s0=s0, n=n, sigma=1.0, design=design) for n in ns]
+    records, summary = harness.run_sweep(grid, replicates, estimator, seed, jobs=jobs)
+    parts = {"summary": json.dumps(hexed(asdict(summary)), sort_keys=True).encode()}
+    with tempfile.TemporaryDirectory() as tmp:
+        for fmt in ("csv", "json"):
+            path = Path(tmp) / f"records.{fmt}"
+            harness.emit(records, path, fmt=fmt)
+            parts[fmt] = path.read_bytes()
+            back = [hexed(asdict(r)) for r in harness.read_records(path, fmt=fmt)]
+            parts[f"{fmt}/records"] = json.dumps(back, sort_keys=True).encode()
+    return parts
 
 
 def corpus():
@@ -213,7 +259,31 @@ def corpus():
             yield (f"dsrip/exhaustive/chunked/{m},{d},{s},{s0}/{seed}",
                    lambda X=gaussian(m * d, seed), g=(m, d, s, s0): report_bytes(
                        diagnostics.dsrip(X, *g)))
-
+    for estimator in ESTIMATORS:
+        for jobs in (1, 2):
+            for part in ("csv", "json", "csv/records", "json/records", "summary"):
+                yield (f"sweep/{estimator}/jobs={jobs}/{part}",
+                       lambda e=estimator, j=jobs, part=part: sweep_bytes(e, j)[part])
+    (m, d, s, s0), ns, _, seed = SWEEP_GRID
+    size = ["--m", str(m), "--d", str(d), "--s", str(s), "--s0", str(s0)]
+    seeded = [*size, "--seed", str(seed)]
+    for estimator in ESTIMATORS:
+        run = [*seeded, "--estimator", estimator] + (
+            ["--design", "identity"] if estimator == "projection_glm" else [])
+        argv = ["solve", *run, "--n", str(ns[0])]
+        yield f"cli/solve/{estimator}", lambda argv=argv: cli_bytes(argv)
+        for fmt in ("csv", "json"):
+            argv = ["sweep", *run, "--n", ",".join(map(str, ns)), "--replicates", "5",
+                    "--out", f"records.{fmt}", "--format", fmt]
+            yield f"cli/sweep/{estimator}/{fmt}", lambda argv=argv: cli_bytes(argv)
+    for model, kind in (("glm", "gaussian_iid"), ("regression", "gaussian_iid"),
+                        ("regression", "identity")):
+        argv = ["generate", *seeded, "--n", "200", "--model", model, "--design", kind,
+                "--magnitude", "1.5", "--out", "data"]
+        yield f"cli/generate/{model}/{kind}", lambda argv=argv: cli_bytes(argv)
+    for soft in ([], ["--q", "0.5", "--rq", "2.0"]):
+        argv = ["rates", *size, "--n", str(ns[0]), "--sigma", "0.5", *soft]
+        yield f"cli/rates/{'soft' if soft else 'hard'}", lambda argv=argv: cli_bytes(argv)
 
 def worker():
     digests = {}
