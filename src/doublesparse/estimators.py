@@ -139,9 +139,10 @@ def _iterate(X, Y, budget, schedule, beta0, truth, operator, bound_constant):
     ``GroupedMatrix`` over its column-major (d, m) view, without a copy; the
     next iterate is the operator's read-only output flattened in the same
     order. With ``truth``, the excess support is the mask of entries nonzero
-    in the iterate and zero in the truth. An iterate with the same bits as
-    the one before keeps its gradient step, error and excess support; only
-    ``bound_held`` is recomputed at the new lambda.
+    in the iterate and zero in the truth. Every iterate's trace entries are
+    computed from the iterate itself. The loop's only reuse is the gradient
+    step: an iterate with the same bits as the one before keeps its gradient
+    step and fit, so no backward product is repeated.
     """
     p, d, m = budget.p, budget.d, budget.m
     X, Y = _validate_design(X, Y, p)
@@ -158,26 +159,19 @@ def _iterate(X, Y, budget, schedule, beta0, truth, operator, bound_constant):
         trace.excess_admissible = []
         trace.bound_held = []
 
-    def record(beta, lam, moved=True):
+    def record(beta, lam):
         trace.lambdas.append(lam)
         trace.betas.append(beta.copy())
         if truth is None:
             return
-        if moved:
-            # einsum sums in one order whatever the BLAS thread count; a
-            # BLAS dot product does not
-            diff = beta - truth
-            err = math.sqrt(np.einsum("i,i->", diff, diff))
-            excess = ((beta != 0) & off_truth).reshape((d, m), order="F")
-            size = int(np.count_nonzero(excess))
-            fits = budget._mask_fits(excess)
-        else:
-            err = trace.errors[-1]
-            size = trace.excess_sizes[-1]
-            fits = trace.excess_admissible[-1]
+        # einsum sums in one order whatever the BLAS thread count; a BLAS
+        # dot product does not
+        diff = beta - truth
+        err = math.sqrt(np.einsum("i,i->", diff, diff))
+        excess = ((beta != 0) & off_truth).reshape((d, m), order="F")
         trace.errors.append(err)
-        trace.excess_sizes.append(size)
-        trace.excess_admissible.append(fits)
+        trace.excess_sizes.append(int(np.count_nonzero(excess)))
+        trace.excess_admissible.append(budget._mask_fits(excess))
         trace.bound_held.append(err <= bound_scale * lam)
 
     lam = schedule.lambda0
@@ -204,20 +198,18 @@ def _iterate(X, Y, budget, schedule, beta0, truth, operator, bound_constant):
                 raise FloatingPointError("non-finite values in the solver iterate")
             grad_step.flags.writeable = False
             U = GroupedMatrix._wrap(grad_step.reshape((d, m), order="F"))
-        outcome = operator(U, lam, budget)
-        new_beta = outcome.result.values.ravel(order="F")
-        # an iterate with the same bits has the same gradient step: keep U.
-        # Compare bits, not values: a caller's beta0 may hold -0.0 where the
-        # operator writes +0.0.
-        moved = not np.array_equal(new_beta.view(np.int64), beta.view(np.int64))
-        if moved:
+        new_beta = operator(U, lam, budget).result.values.ravel(order="F")
+        # an iterate with the same bits has the same gradient step: keep U
+        # and the fit. Compare bits, not values: a caller's beta0 may hold
+        # -0.0 where the operator writes +0.0.
+        if not np.array_equal(new_beta.view(np.int64), beta.view(np.int64)):
             # a threshold output is sparse: multiply over its support only
             nz = new_beta.nonzero()[0]
             fit = X[:, nz] @ new_beta[nz]
             U = None
         beta = new_beta
         lam = lam * sqrt_kappa
-        record(beta, lam, moved)
+        record(beta, lam)
 
     # the schedule's output line: the last iterate computed before lambda
     # fell below lambda_inf is betas[-1]; the returned estimate is the one
@@ -244,7 +236,9 @@ def dsiht(
     plus a forward product over the iterate's support when it changes. An
     iterate that comes out of the operator unchanged, bit for bit, reuses its
     gradient step; so does the zero phase while lam is still above every
-    signal entry. Only a nonzero ``beta0`` costs a dense forward product.
+    signal entry. That is the only reuse: the trace entries of every iterate
+    are computed from it. Only a nonzero ``beta0`` costs a dense forward
+    product.
     The loop copies no array at the operator boundary; see ``_iterate``.
     """
     if budget.mode != "hard":

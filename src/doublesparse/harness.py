@@ -94,9 +94,16 @@ class ExperimentRecord:
 # the serialized columns, in declaration order; wall time is opt-in
 RECORD_FIELDS = [f.name for f in fields(ExperimentRecord) if f.name != "wall_time_s"]
 
+def _flag(text: str) -> bool | None:
+    """A flag column's text as written by :func:`emit`: true, false or empty."""
+    if text not in ("true", "false", ""):
+        raise ValueError(f"expected true, false or an empty value, got {text!r}")
+    return text == "true" if text else None
+
+
 # each column's text reader, by its annotation; an annotation missing here
 # fails at import rather than read as a float
-_READERS = {"int": int, "bool | None": lambda text: text == "true", "str": str,
+_READERS = {"int": int, "bool | None": _flag, "str": str,
             "float": text_float, "float | None": text_float}
 _COLUMN_READERS = {f.name: _READERS[f.type] for f in fields(ExperimentRecord)}
 
@@ -358,6 +365,9 @@ def _record(path, line: int, pairs) -> ExperimentRecord:
             kwargs[name] = _COLUMN_READERS[name](value) if isinstance(value, str) else value
         except ValueError as exc:
             raise ValueError(f"{where}: {exc}") from exc
+    for name in RECORD_FIELDS:
+        if name not in kwargs:
+            raise ValueError(f"{path}, line {line}, column {name!r}: missing")
     return ExperimentRecord(**kwargs)
 
 

@@ -21,7 +21,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import GroupedMatrix, SparsityBudget, SupportSet, _check_budget
+from .core import GroupedMatrix, SparsityBudget, SupportSet, _check_budget, support_of
 
 __all__ = [
     "ThresholdOutcome",
@@ -42,8 +42,9 @@ class ThresholdOutcome:
     qualifies, the full depth d for the row-condition-free variant), and
     ``active_mask`` is the d x m boolean mask of the entries the output keeps.
     ``result`` wraps the stage's own output array without a copy; it and
-    both masks are read-only. ``selected_columns`` and ``active_set`` are
-    built from the masks on first access.
+    both masks are read-only. ``active_mask`` is exactly ``result != 0``.
+    ``selected_columns`` is built from ``selected_mask`` and ``active_set``
+    from ``result``, each on first access.
     """
 
     result: GroupedMatrix
@@ -59,8 +60,7 @@ class ThresholdOutcome:
     @cached_property
     def active_set(self) -> SupportSet:
         """The index pairs the output keeps, built on first access."""
-        rows, cols = np.nonzero(self.active_mask)
-        return SupportSet(frozenset(zip(rows.tolist(), cols.tolist())))
+        return support_of(self.result)
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:

@@ -492,7 +492,7 @@ def solve_cases(draw):
     -0.0 entries), with or without the truth, for either solver."""
     m, d = draw(st.integers(1, 6)), draw(st.integers(1, 6))
     s, s0 = draw(st.integers(1, m)), draw(st.integers(1, d))
-    # n >= p keeps the unit-step iteration from diverging
+    # n >= p; the unit-step iteration can still diverge on designs this small
     n = draw(st.integers(m * d, 3 * m * d + 4))
     rng = stream(draw(st.integers(0, 2**32 - 1)))
     hard = SparsityBudget.hard(m, d, s, s0)

@@ -88,6 +88,38 @@ def test_read_records_names_the_column_of_an_unreadable_value(tmp_path):
         read_records(path, fmt="json")
 
 
+def _emit_edited(path, fmt, edit):
+    """Emit one record to ``path``, its columns passed through ``edit``, a
+    function of the dict from column to value."""
+    emit(run_cell(small_grid()[0], 1, "dsiht", seed=6), path, fmt=fmt)
+    if fmt == "json":
+        path.write_text(json.dumps(edit(json.loads(path.read_text()))) + "\n")
+    else:
+        header, values = (line.split(",") for line in path.read_text().splitlines())
+        row = edit(dict(zip(header, values)))
+        path.write_text(",".join(row) + "\n" + ",".join(row.values()) + "\n")
+
+
+@pytest.mark.parametrize("fmt, line", [("csv", 2), ("json", 1)])
+@pytest.mark.parametrize("column", ["bound_flag", "excess_flag"])
+def test_read_records_accepts_only_true_false_or_empty_in_a_flag(tmp_path, fmt, line, column):
+    path = tmp_path / f"rec.{fmt}"
+    _emit_edited(path, fmt, lambda row: {**row, column: "yes"})
+    with pytest.raises(ValueError, match=f"rec.{fmt}, line {line}, column '{column}': "
+                                         "expected true, false or an empty value"):
+        read_records(path, fmt=fmt)
+    _emit_edited(path, fmt, lambda row: {**row, column: ""})
+    assert getattr(read_records(path, fmt=fmt)[0], column) is None
+
+
+@pytest.mark.parametrize("fmt, line", [("csv", 2), ("json", 1)])
+def test_read_records_names_a_missing_column(tmp_path, fmt, line):
+    path = tmp_path / f"rec.{fmt}"
+    _emit_edited(path, fmt, lambda row: {k: v for k, v in row.items() if k != "seed"})
+    with pytest.raises(ValueError, match=f"rec.{fmt}, line {line}, column 'seed': missing"):
+        read_records(path, fmt=fmt)
+
+
 def test_record_csv_header(tmp_path):
     path = tmp_path / "rec.csv"
     emit(run_cell(small_grid()[0], 1, "dsiht", seed=6), path)

@@ -43,7 +43,18 @@ The corpus:
   ``read_records`` returns from each, and the summary;
 - ``cli/solve/...``, ``cli/sweep/...``, ``cli/generate/...`` and
   ``cli/rates/...``: the stdout of those subcommands, and the bytes of
-  every file they write.
+  every file they write;
+- ``solve/...``: ``dsiht`` and ``dsiht_heterogeneous`` at the three
+  problems in ``SOLVES`` x 3 seeds, in each run of ``SOLVE_RUNS``: a long
+  zero phase, a plain decay, a dense ``beta0`` with -0.0 entries (which
+  diverges at n < p), and ``truth=None``; on the identity design, nonzero
+  iterates stand still. The bytes of the estimate and of every
+  ``IterationTrace`` field;
+- ``operator/...``: ``threshold.apply`` and ``threshold.apply_heterogeneous``
+  on tie-heavy half-integer grids (``OPERATOR_GRIDS`` x 3 seeds x the
+  half-integer lambdas ``OPERATOR_LAMS``), the input in C order and as the
+  column-major view the solver passes: the dtype, shape, strides and bytes
+  of ``result`` and of both masks, and ``row_cut``.
 
 Later cases go at the end of ``corpus``; a case's name fixes its inputs.
 """
@@ -98,6 +109,23 @@ CHUNKED_GRIDS = [(30, 8, 2, 3), (100, 6, 2, 2), (363, 2, 2, 2), (242, 3, 2, 2)]
 SWEEP_GRID = ((20, 10, 3, 2), (200, 400, 800), 20, 123)
 ESTIMATORS = ["dsiht", "dsiht_heterogeneous", "projection_glm", "iht_baseline"]
 THREAD_VARS = ["OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"]
+# (m, d, s, s0, n, design): the solver problems; Gaussian at n >= p and at
+# n < p, and the identity design, whose gradient step does not depend on the
+# iterate, so that nonzero iterates stand still
+SOLVES = [(6, 5, 2, 2, 60, "gaussian_iid"), (20, 10, 3, 2, 120, "gaussian_iid"),
+          (6, 5, 2, 2, 60, "identity_scaled")]
+# run: (lambda0 over ||X^T Y / n|| / sqrt(s s0), kappa, lambda_inf over
+# lambda0, whether beta0 is dense with -0.0 entries, whether the truth is given)
+SOLVE_RUNS = {
+    "zero-phase": (30.0, 0.5, 0.01, False, True),
+    "plain": (1.0, 0.8, 0.05, False, True),
+    "dense-start": (1.0, 0.8, 0.05, True, True),
+    "no-truth": (1.0, 0.8, 0.05, False, False),
+}
+# (m, d, s, s0): the operator's grids of half-integer entries; at the
+# half-integer lambdas, entries, column masses and row masses tie
+OPERATOR_GRIDS = [(4, 4, 2, 2), (6, 5, 3, 2), (5, 6, 2, 3), (3, 8, 1, 4), (8, 3, 4, 1)]
+OPERATOR_LAMS = [0.5, 1.0, 1.5]
 
 
 def design(kind, m, d, s, s0, seed):
@@ -131,12 +159,19 @@ def gaussian(p, seed):
 
 
 def hexed(value):
-    """``value`` with every float, also inside dicts, as ``float.hex``."""
+    """``value`` with every float, also inside dicts and lists, as ``float.hex``."""
     if isinstance(value, float):
         return value.hex()
     if isinstance(value, dict):
         return {key: hexed(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [hexed(item) for item in value]
     return value
+
+
+def array_bytes(arr) -> bytes:
+    """The dtype, shape, strides and bytes of ``arr``."""
+    return f"{arr.dtype} {arr.shape} {arr.strides}\n".encode() + arr.tobytes()
 
 
 def report_bytes(report) -> bytes:
@@ -215,6 +250,65 @@ def sweep_bytes(estimator, jobs) -> dict:
     return parts
 
 
+def solve_bytes(heterogeneous, size, run, seed) -> bytes:
+    """The estimate and every ``IterationTrace`` field of one fixed-seed
+    solve, as bytes."""
+    from dataclasses import fields
+    import numpy as np
+    from doublesparse import estimators, simulate
+    from doublesparse.core import NoiseModel, SparsityBudget, stream
+
+    m, d, s, s0, n, kind = size
+    scale, kappa, floor, dense, with_truth = SOLVE_RUNS[run]
+    rng = stream(9400 + seed)
+    budget = SparsityBudget.hard(m, d, s, s0)
+    spec = simulate.SignalSpec(budget, simulate.Constant(1.0), sign="random")
+    truth = simulate.gen_signal(spec, rng).values.ravel(order="F")
+    X = simulate.gen_design(n, m * d, kind, rng)
+    Y = simulate.gen_regression(X, truth, NoiseModel(0.5, n), rng)
+    lam0 = scale * float(np.linalg.norm(X.T @ Y / n)) / (s * s0) ** 0.5
+    schedule = estimators.ThresholdSchedule(lam0, kappa, floor * lam0)
+    beta0 = np.where(rng.random(m * d) < 0.3, -0.0, rng.normal(size=m * d)) if dense else None
+    solver = estimators.dsiht
+    if heterogeneous:
+        budget = SparsityBudget.heterogeneous(m, d, s, s * s0, s0=s0)
+        solver = estimators.dsiht_heterogeneous
+    beta_hat, trace = solver(X, Y, budget, schedule, beta0=beta0,
+                             truth=truth if with_truth else None)
+    data = array_bytes(beta_hat)
+    for f in fields(trace):
+        value = getattr(trace, f.name)
+        if f.name == "betas":
+            value = [array_bytes(beta).hex() for beta in value]
+        data += json.dumps([f.name, hexed(value)]).encode()
+    return data
+
+
+def operator_bytes(heterogeneous, grid, seed, lam, column_major) -> bytes:
+    """``result``, both masks and ``row_cut`` of the operator on a fixed-seed
+    grid of half-integer entries, as bytes."""
+    import numpy as np
+    from doublesparse import threshold
+    from doublesparse.core import GroupedMatrix, SparsityBudget, stream
+
+    m, d, s, s0 = grid
+    values = np.round(4.0 * stream(9500 + seed).normal(size=(d, m))) / 2.0
+    if column_major:  # as the solver wraps its gradient step
+        values = np.asfortranarray(values)
+        values.flags.writeable = False
+        U = GroupedMatrix._wrap(values)
+    else:
+        U = GroupedMatrix(values)
+    if heterogeneous:
+        budget = SparsityBudget.heterogeneous(m, d, s, s * s0, s0=s0)
+        outcome = threshold.apply_heterogeneous(U, lam, budget)
+    else:
+        outcome = threshold.apply(U, lam, SparsityBudget.hard(m, d, s, s0))
+    return b"".join(array_bytes(arr) for arr in (
+        outcome.result.values, outcome.selected_mask, outcome.active_mask,
+    )) + f"row_cut {outcome.row_cut!r}".encode()
+
+
 def corpus():
     """(name, thunk returning bytes) for every case, in a fixed order."""
     import numpy as np
@@ -284,6 +378,23 @@ def corpus():
     for soft in ([], ["--q", "0.5", "--rq", "2.0"]):
         argv = ["rates", *size, "--n", str(ns[0]), "--sigma", "0.5", *soft]
         yield f"cli/rates/{'soft' if soft else 'hard'}", lambda argv=argv: cli_bytes(argv)
+    for heterogeneous, solver in ((False, "dsiht"), (True, "dsiht_heterogeneous")):
+        for size in SOLVES:
+            for run in SOLVE_RUNS:
+                for seed in SEEDS:
+                    yield (f"solve/{solver}/{','.join(map(str, size))}/{run}/{seed}",
+                           lambda h=heterogeneous, size=size, run=run, seed=seed:
+                           solve_bytes(h, size, run, seed))
+    for heterogeneous, name in ((False, "apply"), (True, "apply_heterogeneous")):
+        for grid in OPERATOR_GRIDS:
+            for seed in SEEDS:
+                for lam in OPERATOR_LAMS:
+                    for layout in ("C", "F"):
+                        yield (f"operator/{name}/{','.join(map(str, grid))}/{seed}/"
+                               f"lam={lam}/{layout}",
+                               lambda h=heterogeneous, g=grid, seed=seed, lam=lam,
+                               f=layout == "F": operator_bytes(h, g, seed, lam, f))
+
 
 def worker():
     digests = {}
