@@ -94,6 +94,7 @@ class ExperimentRecord:
 # the serialized columns, in declaration order; wall time is opt-in
 RECORD_FIELDS = [f.name for f in fields(ExperimentRecord) if f.name != "wall_time_s"]
 
+
 def _flag(text: str) -> bool | None:
     """A flag column's text as written by :func:`emit`: true, false or empty."""
     if text not in ("true", "false", ""):
